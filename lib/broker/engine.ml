@@ -81,13 +81,55 @@ type stats = {
   mutable served_strict : int;
   mutable served_skip : int;
   mutable served_affectible : int;
+  mutable memo_hits : int;
+  mutable memo_misses : int;
 }
 
-type session = { body : Hexpr.t; own_policies : string list }
+type session = { body : Hexpr.t; own_policies : Usage.Policy.t list }
+
+(* ---- the plan-verdict memo ------------------------------------------- *)
+
+(* The verdict of every plan a first-valid search has analysed, per
+   client, keyed on the plan's bindings and the admission level, and
+   validated on lookup against stamps of everything else
+   [Planner.analyze] reads: the client's body (its session stamp), each
+   bound service (its location stamp) and the netcheck universe. Only a
+   valid plan keeps its report; a rejected one keeps the fact. *)
+module Memo = struct
+  type verdict = Valid of Planner.report | Rejected
+
+  type entry = {
+    client_stamp : int;
+    loc_stamps : int list;  (* one per binding, in binding order *)
+    universe : string list;  (* sorted policy ids *)
+    verdict : verdict;
+  }
+
+  module Key = struct
+    type t = { bindings : (int * string) list; level : Compliance.level }
+
+    let equal a b =
+      Compliance.equal_level a.level b.level
+      && List.equal
+           (fun (r, l) (r', l') -> Int.equal r r' && String.equal l l')
+           a.bindings b.bindings
+
+    (* every binding feeds the hash: [Hashtbl.hash] stops after a few
+       meaningful words, so plans sharing a prefix would collide *)
+    let hash k =
+      List.fold_left
+        (fun h (rid, loc) -> (((h * 31) + rid) * 31) + Hashtbl.hash loc)
+        (Hashtbl.hash k.level) k.bindings
+  end
+
+  module Tbl = Hashtbl.Make (Key)
+end
 
 type t = {
   mutable repo : Network.repo;
-  mutable repo_policies : string list;  (* sorted policy ids *)
+  mutable repo_policies : Usage.Policy.t list;
+      (* every policy of the repository, sorted by id and duplicate-free;
+         recomputed per mutation *)
   mutable sessions : (string * session) list;  (* registration order *)
   index : Index.t;
   compliance : Product.survey Repr.Key.Pair_tbl.t;
@@ -103,14 +145,19 @@ type t = {
          level a request is about to be answered with/at, before [apply]
          runs *)
   st : stats;
+  memo : (string, Memo.entry Memo.Tbl.t) Hashtbl.t;  (* per client *)
+  mutable memo_entries : int;
+  mutable stamp : int;  (* the last stamp handed out *)
+  client_stamps : (string, int) Hashtbl.t;  (* renewed by Open, gone on Close *)
+  loc_stamps : (string, int) Hashtbl.t;
+      (* renewed by Publish and Update, gone on Retract *)
 }
 
-let policy_ids h =
-  Hexpr.policies h |> List.map Usage.Policy.id |> List.sort_uniq String.compare
+let merge_policies a b = List.sort_uniq Usage.Policy.compare (a @ b)
 
-let repo_policy_ids repo =
-  List.concat_map (fun (_, h) -> policy_ids h) repo
-  |> List.sort_uniq String.compare
+let policies_of_repo repo =
+  List.sort_uniq Usage.Policy.compare
+    (List.concat_map (fun (_, h) -> Hexpr.policies h) repo)
 
 (* ---- the degradation ladder ------------------------------------------- *)
 
@@ -153,7 +200,7 @@ let create ?(admission = default_admission) repo =
   let t =
     {
       repo;
-      repo_policies = repo_policy_ids repo;
+      repo_policies = policies_of_repo repo;
       sessions = [];
       index = Index.create ();
       compliance = Repr.Key.Pair_tbl.create 64;
@@ -177,9 +224,18 @@ let create ?(admission = default_admission) repo =
           served_strict = 0;
           served_skip = 0;
           served_affectible = 0;
+          memo_hits = 0;
+          memo_misses = 0;
         };
+      memo = Hashtbl.create 64;
+      memo_entries = 0;
+      stamp = 0;
+      client_stamps = Hashtbl.create 64;
+      loc_stamps = Hashtbl.create 64;
     }
   in
+  List.iteri (fun i loc -> Hashtbl.replace t.loc_stamps loc (i + 1)) locs;
+  t.stamp <- List.length locs;
   refresh_gauges t;
   t
 
@@ -187,6 +243,7 @@ let repo t = t.repo
 let admission t = t.adm
 let stats t = t.st
 let index_size t = Index.size t.index
+let plan_memo_size t = t.memo_entries
 let clients t = List.map (fun (name, s) -> (name, s.body)) t.sessions
 let seq t = t.seq
 let set_journal t hook = t.journal <- hook
@@ -205,10 +262,46 @@ let cached_verdict t name =
 (* The netcheck universe of a cached verdict is every policy of the
    repository plus the client's own ([Netcheck.default_universe]); a
    mutation that changes it can change abstract validity, so entries are
-   keyed on it and compared against the would-be universe after each
-   mutation. *)
-let universe_of t (s : session) =
-  List.sort_uniq String.compare (t.repo_policies @ s.own_policies)
+   keyed on its policy ids and compared against the would-be universe
+   after each mutation. *)
+let universe_of t (s : session) = merge_policies t.repo_policies s.own_policies
+let policy_ids = List.map Usage.Policy.id
+
+(* ---- stamps and the memo's bounds ------------------------------------ *)
+
+let fresh_stamp t =
+  t.stamp <- t.stamp + 1;
+  t.stamp
+
+let stamp_of tbl key = Option.value (Hashtbl.find_opt tbl key) ~default:(-1)
+
+let memo_gauge t = Obs.Metrics.set "broker.plan_memo.entries" t.memo_entries
+
+(* Open and Close drop the client's entries: its body is gone, so they
+   could only ever fail validation *)
+let memo_forget_client t name =
+  match Hashtbl.find_opt t.memo name with
+  | None -> ()
+  | Some tbl ->
+      t.memo_entries <- t.memo_entries - Memo.Tbl.length tbl;
+      Hashtbl.remove t.memo name;
+      memo_gauge t
+
+(* A location leaving the repository (or changing its requests) drops
+   every entry that binds it, so each client's entries stay within the
+   plans the current repository enumerates *)
+let memo_forget_loc t loc =
+  Hashtbl.iter
+    (fun _ tbl ->
+      Memo.Tbl.filter_map_inplace
+        (fun (k : Memo.Key.t) e ->
+          if List.exists (fun (_, l) -> String.equal l loc) k.bindings then (
+            t.memo_entries <- t.memo_entries - 1;
+            None)
+          else Some e)
+        tbl)
+    t.memo;
+  memo_gauge t
 
 (* ---- compliance (shared cache, Planner.analyze keying) --------------- *)
 
@@ -231,34 +324,42 @@ let invalidate_client t name =
     Obs.Metrics.incr "broker.invalidations"
   end
 
-(* Is the service [h] published at a fresh location *relevant* to this
+(* Is the published service (projected to [cs]) *relevant* to this
    client — i.e. could any plan binding it be valid? A valid plan must
    bind it compliantly at some request site, so "no site's body is
    compliant with its projection" proves the cached first-valid plan (or
-   No_plan) survives the publish. Sites are taken against [repo] (the
-   repository *without* the new service: its own sites only become
-   reachable once it is bound at a pre-existing one). *)
-let publish_relevant t repo h ~level (name, (s : session)) =
-  match Contract.project h with
-  | exception Contract.Unprojectable _ -> true
-  | cs ->
-      Planner.sites repo (name, s.body)
-      |> List.exists (fun (site : Planner.site) ->
-             match Contract.project site.Planner.body with
-             | exception Contract.Unprojectable _ -> true
-             | cb -> compliant t ~level cb cs)
+   No_plan) survives the publish. Sites are taken against [repo_sites],
+   the sites of the repository *without* the new service: its own sites
+   only become reachable once it is bound at a pre-existing one. *)
+let publish_relevant t repo_sites cs ~level (name, (s : session)) =
+  Planner.sites_with repo_sites (name, s.body)
+  |> List.exists (fun (site : Planner.site) ->
+         match Contract.project site.Planner.body with
+         | exception Contract.Unprojectable _ -> true
+         | cb -> compliant t ~level cb cs)
 
 (* Apply the invalidation contract for a mutation: entries bound to a
    touched location, entries whose policy universe changed, and — when a
    service appears ([Publish]/[Update]) — entries it is relevant to.
    [old_repo] is the repository the relevance sites are computed
-   against; callers must not have swapped [t.repo] yet. *)
+   against; callers must not have swapped [t.repo] yet. The published
+   service's projection and the repository's sites are computed once
+   per mutation, and only if some survivor needs them. *)
 let invalidate_for_mutation t ~old_repo ~new_repo_policies ~touched_locs
     ~published =
   List.iter
     (fun loc ->
       List.iter (invalidate_client t) (Index.clients_of_loc t.index loc))
     touched_locs;
+  let relevance =
+    lazy
+      (match published with
+      | None -> None
+      | Some h -> (
+          match Contract.project h with
+          | exception Contract.Unprojectable _ -> Some None
+          | cs -> Some (Some (cs, Planner.repo_sites old_repo))))
+  in
   let survivors = Index.fold t.index (fun acc e -> e.Index.client :: acc) [] in
   List.iter
     (fun name ->
@@ -266,22 +367,24 @@ let invalidate_for_mutation t ~old_repo ~new_repo_policies ~touched_locs
       | None -> invalidate_client t name
       | Some s ->
           let universe =
-            List.sort_uniq String.compare (new_repo_policies @ s.own_policies)
+            policy_ids (merge_policies new_repo_policies s.own_policies)
           in
           let entry = Index.find t.index name in
           let stale =
             match entry with
             | None -> false
-            | Some e ->
+            | Some e -> (
                 universe <> e.Index.policies
                 ||
-                match published with
+                match Lazy.force relevance with
                 | None -> false
-                | Some h ->
+                | Some None -> true (* unprojectable: always relevant *)
+                | Some (Some (cs, repo_sites)) ->
                     (* relevance is judged at the entry's own level: a
                        service only admissible below it cannot change
                        the entry's first-valid plan *)
-                    publish_relevant t old_repo h ~level:e.Index.level (name, s)
+                    publish_relevant t repo_sites cs ~level:e.Index.level
+                      (name, s))
           in
           if stale then invalidate_client t name)
     survivors
@@ -308,7 +411,7 @@ let retire_contract t h =
 
 (* ---- serving --------------------------------------------------------- *)
 
-let entry_of_verdict t name (s : session) ~level verdict =
+let entry_of_verdict t name (s : session) ~level ~policies verdict =
   let locs, contracts =
     match verdict with
     | Index.No_plan -> ([], [])
@@ -342,39 +445,96 @@ let entry_of_verdict t name (s : session) ~level verdict =
     level;
     locs;
     contracts;
-    policies = universe_of t s;
+    policies;
   }
 
-(* The budgeted first-valid search at one admission level. [store]
-   decides whether a settled verdict is cached: the queued serve path
-   caches, the full-queue rescue path answers without caching (a rescue
-   is an overload answer, not a settled verdict — and keeping it out of
-   the index keeps recovery replay a pure function of the applied
-   prefix). *)
-let budgeted_serve t name (s : session) ~level ~store =
-  let client = (name, s.body) in
-  let plans = Planner.enumerate t.repo ~client in
-  let enumerated = List.length plans in
-  let budget = t.adm.plan_budget in
+(* One plan's verdict, from the client's memo table [tbl]: the stored
+   one when every stamp still matches, so that every input of
+   [Planner.analyze] is what it was, else a fresh analysis, stored. *)
+let plan_verdict t tbl name (s : session) ~client_stamp ~level ~universe ~ids
+    plan =
+  let bindings = Plan.bindings plan in
+  let key = { Memo.Key.bindings; level } in
+  let loc_stamps =
+    List.map (fun (_, loc) -> stamp_of t.loc_stamps loc) bindings
+  in
+  match Memo.Tbl.find_opt tbl key with
+  | Some e
+    when e.Memo.client_stamp = client_stamp
+         && List.equal Int.equal e.Memo.loc_stamps loc_stamps
+         && List.equal String.equal e.Memo.universe ids ->
+      t.st.memo_hits <- t.st.memo_hits + 1;
+      Obs.Metrics.incr "broker.plan_memo.hits";
+      e.Memo.verdict
+  | stale ->
+      t.st.memo_misses <- t.st.memo_misses + 1;
+      Obs.Metrics.incr "broker.plan_memo.misses";
+      let r =
+        Planner.analyze ~cache:t.compliance ~universe ~level t.repo
+          ~client:(name, s.body) plan
+      in
+      let verdict =
+        if Result.is_ok r.Planner.verdict then Memo.Valid r else Memo.Rejected
+      in
+      if Option.is_none stale then begin
+        t.memo_entries <- t.memo_entries + 1;
+        memo_gauge t
+      end;
+      Memo.Tbl.replace tbl key
+        { Memo.client_stamp; loc_stamps; universe = ids; verdict };
+      verdict
+
+(* The first-valid search at one admission level, shared by serving and
+   snapshot restore: the first of [plans] whose verdict is valid, giving
+   up once [budget] plans are examined. A memo hit counts toward the
+   budget like a fresh analysis, so the outcome and the count never
+   depend on what the memo holds. The universe, the client's stamp and
+   its memo table are looked up once per search. Also returns the
+   universe's sorted policy ids, for the index entry. *)
+let search t name (s : session) ~level ~budget plans =
+  let universe = universe_of t s in
+  let ids = policy_ids universe in
+  let client_stamp = stamp_of t.client_stamps name in
+  let tbl =
+    match Hashtbl.find_opt t.memo name with
+    | Some tbl -> tbl
+    | None ->
+        let tbl = Memo.Tbl.create 16 in
+        Hashtbl.replace t.memo name tbl;
+        tbl
+  in
   let rec go analyzed = function
     | [] -> `Done (Index.No_plan, analyzed)
-    | p :: rest ->
+    | p :: rest -> (
         if analyzed >= budget then `Budget analyzed
-        else begin
-          t.st.analyzed <- t.st.analyzed + 1;
-          let r = Planner.analyze ~cache:t.compliance ~level t.repo ~client p in
-          if Result.is_ok r.Planner.verdict then
-            `Done (Index.Valid r, analyzed + 1)
-          else go (analyzed + 1) rest
-        end
+        else
+          match
+            plan_verdict t tbl name s ~client_stamp ~level ~universe ~ids p
+          with
+          | Memo.Valid r -> `Done (Index.Valid r, analyzed + 1)
+          | Memo.Rejected -> go (analyzed + 1) rest)
   in
-  match go 0 plans with
-  | `Budget analyzed ->
+  (go 0 plans, ids)
+
+(* The budgeted first-valid search. [store] decides whether a settled
+   verdict is cached: the queued serve path caches, the full-queue
+   rescue path answers without caching (a rescue is an overload answer,
+   not a settled verdict — and keeping it out of the index keeps
+   recovery replay a pure function of the applied prefix). *)
+let budgeted_serve t name (s : session) ~level ~store =
+  let plans = Planner.enumerate t.repo ~client:(name, s.body) in
+  let enumerated = List.length plans in
+  match search t name s ~level ~budget:t.adm.plan_budget plans with
+  | `Budget analyzed, _ ->
+      t.st.analyzed <- t.st.analyzed + analyzed;
       t.st.degraded <- t.st.degraded + 1;
       Obs.Metrics.incr "broker.degraded";
       Degraded { analyzed; enumerated; level }
-  | `Done (verdict, _) -> (
-      if store then Index.store t.index (entry_of_verdict t name s ~level verdict);
+  | `Done (verdict, analyzed), policies -> (
+      t.st.analyzed <- t.st.analyzed + analyzed;
+      if store then
+        Index.store t.index
+          (entry_of_verdict t name s ~level ~policies verdict);
       match verdict with
       | Index.Valid r -> Served { report = r; cached = false; level }
       | Index.No_plan -> Rejected No_plan)
@@ -406,7 +566,9 @@ let serve t ~level name = serve_at t ~level ~store:true name
 let apply t ~level = function
   | Open { client; body } ->
       invalidate_client t client;
-      let s = { body; own_policies = policy_ids body } in
+      memo_forget_client t client;
+      Hashtbl.replace t.client_stamps client (fresh_stamp t);
+      let s = { body; own_policies = Hexpr.policies body } in
       t.sessions <-
         (if List.mem_assoc client t.sessions then
            List.map
@@ -419,6 +581,8 @@ let apply t ~level = function
         Rejected (Unknown_client client)
       else begin
         invalidate_client t client;
+        memo_forget_client t client;
+        Hashtbl.remove t.client_stamps client;
         t.sessions <- List.remove_assoc client t.sessions;
         Ack
       end
@@ -446,12 +610,13 @@ let apply t ~level = function
       if List.mem_assoc loc t.repo then Rejected (Duplicate_location loc)
       else begin
         let new_repo_policies =
-          List.sort_uniq String.compare (t.repo_policies @ policy_ids service)
+          merge_policies t.repo_policies (Hexpr.policies service)
         in
         invalidate_for_mutation t ~old_repo:t.repo ~new_repo_policies
           ~touched_locs:[] ~published:(Some service);
         t.repo <- t.repo @ [ (loc, service) ];
         t.repo_policies <- new_repo_policies;
+        Hashtbl.replace t.loc_stamps loc (fresh_stamp t);
         Ack
       end
   | Retract { loc } -> (
@@ -459,11 +624,13 @@ let apply t ~level = function
       | None -> Rejected (Unknown_location loc)
       | Some old ->
           let remaining = List.filter (fun (l, _) -> l <> loc) t.repo in
-          let new_repo_policies = repo_policy_ids remaining in
+          let new_repo_policies = policies_of_repo remaining in
           invalidate_for_mutation t ~old_repo:t.repo ~new_repo_policies
             ~touched_locs:[ loc ] ~published:None;
           t.repo <- remaining;
           t.repo_policies <- new_repo_policies;
+          Hashtbl.remove t.loc_stamps loc;
+          memo_forget_loc t loc;
           retire_contract t old;
           Ack)
   | Update { loc; service } -> (
@@ -475,11 +642,20 @@ let apply t ~level = function
               (fun (l, h) -> if l = loc then (l, service) else (l, h))
               t.repo
           in
-          let new_repo_policies = repo_policy_ids replaced in
+          let new_repo_policies = policies_of_repo replaced in
           invalidate_for_mutation t ~old_repo:t.repo ~new_repo_policies
             ~touched_locs:[ loc ] ~published:(Some service);
           t.repo <- replaced;
           t.repo_policies <- new_repo_policies;
+          Hashtbl.replace t.loc_stamps loc (fresh_stamp t);
+          (* the new stamp fails every entry binding [loc]; only a change
+             of its requests, which changes the plans enumerated, needs
+             them gone *)
+          let rids h =
+            List.sort_uniq Int.compare
+              (List.map (fun (r : Hexpr.req) -> r.Hexpr.rid) (Hexpr.requests h))
+          in
+          if rids old <> rids service then memo_forget_loc t loc;
           if not (Hexpr.equal old service) then retire_contract t old;
           Ack)
   | Orchestrate { client } -> (
@@ -749,15 +925,11 @@ let drain t =
    current repository — which is exactly what this recomputes, so the
    rebuilt entry is byte-identical to the lost one. *)
 let rebuild_entry t name (s : session) ~level =
-  let client = (name, s.body) in
-  let rec go = function
-    | [] -> Index.No_plan
-    | p :: rest ->
-        let r = Planner.analyze ~cache:t.compliance ~level t.repo ~client p in
-        if Result.is_ok r.Planner.verdict then Index.Valid r else go rest
-  in
-  let verdict = go (Planner.enumerate t.repo ~client) in
-  Index.store t.index (entry_of_verdict t name s ~level verdict)
+  let plans = Planner.enumerate t.repo ~client:(name, s.body) in
+  match search t name s ~level ~budget:max_int plans with
+  | `Done (verdict, _), policies ->
+      Index.store t.index (entry_of_verdict t name s ~level ~policies verdict)
+  | `Budget _, _ -> assert false (* unbounded *)
 
 let restore ?admission ~sessions ~served ~seq repo =
   let t = create ?admission repo in

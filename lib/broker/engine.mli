@@ -172,7 +172,11 @@ type stats = {
   mutable degraded : int;
   mutable rejected : int;  (** [Rejected] outcomes other than [Shed] *)
   mutable invalidations : int;  (** index entries dropped by mutations *)
-  mutable analyzed : int;  (** fresh [Planner.analyze] calls *)
+  mutable analyzed : int;
+      (** plans examined by cache-missing serves — fresh
+          [Planner.analyze] calls and plan-verdict memo hits alike, so
+          the count (and the plan budget it is charged to) never
+          depends on what the memo holds *)
   mutable queue_peak : int;
   mutable rescued : int;
       (** full-queue [Serve]s answered at the floor level instead of
@@ -180,6 +184,10 @@ type stats = {
   mutable served_strict : int;  (** [Served] outcomes at [Strict] *)
   mutable served_skip : int;  (** [Served] outcomes at some [Skip_k] *)
   mutable served_affectible : int;  (** [Served] outcomes at [Affectible] *)
+  mutable memo_hits : int;
+      (** plans of [analyzed] answered by the plan-verdict memo *)
+  mutable memo_misses : int;
+      (** plans analysed afresh and stored in the plan-verdict memo *)
 }
 
 (** {1 The broker} *)
@@ -196,6 +204,16 @@ val repo : t -> Network.repo
 val admission : t -> admission
 val stats : t -> stats
 val index_size : t -> int
+
+val plan_memo_size : t -> int
+(** Entries in the plan-verdict memo: the verdicts of plans the
+    first-valid search has analysed, kept across serves and checked on
+    every use against stamps of the client's session, each bound
+    location and the policy universe (see [docs/BROKER.md]). Open and
+    Close drop the client's entries, Retract every entry binding the
+    location, so the memo holds at most, per live client, the plans
+    the current repository enumerates, once per admission level
+    served at. *)
 
 val clients : t -> (string * Hexpr.t) list
 (** Registered client sessions, in registration order. *)

@@ -9,6 +9,9 @@
                               one-line rendering of [Engine.pp_outcome]
      err MESSAGE              the line did not parse (nothing was
                               submitted; the connection stays usable)
+     err line-too-long        the line ran past [max_line] bytes
+                              without a newline; nothing of it was
+                              submitted and the connection is closed
      ok bye                   the reply to the 'shutdown' verb, sent
                               only after every shard has drained and
                               the journals are flushed and closed — a
@@ -123,17 +126,43 @@ let handle_line t conn line =
               (Fmt.str "ok %s %d %s" tag resp.Engine.seq
                  (one_line (Fmt.str "%a" Engine.pp_outcome resp.Engine.outcome))))
 
+let max_line = 1 lsl 20
+
+(* An over-long line is refused whole: answering part of it would act on
+   a request the client never finished, and its tail would parse as
+   another. *)
+let line_too_long conn =
+  Obs.Metrics.incr "net.errors";
+  Buffer.reset conn.rbuf;
+  write_line conn "err line-too-long";
+  close_conn conn
+
+(* Only the bytes just read are scanned for newlines, and the partial
+   line is copied once, when it completes: a connection costs time
+   linear in its input and at most [max_line] bytes of buffer. *)
 let feed t conn bytes len =
-  Buffer.add_subbytes conn.rbuf bytes 0 len;
-  let text = Buffer.contents conn.rbuf in
+  let rec newline i =
+    if i >= len then None
+    else if Bytes.get bytes i = '\n' then Some i
+    else newline (i + 1)
+  in
   let rec go start =
-    match String.index_from_opt text start '\n' with
-    | None ->
-        Buffer.clear conn.rbuf;
-        Buffer.add_substring conn.rbuf text start (String.length text - start)
-    | Some i ->
-        handle_line t conn (String.sub text start (i - start));
-        go (i + 1)
+    if not conn.closed then
+      match newline start with
+      | None ->
+          if Buffer.length conn.rbuf + (len - start) > max_line then
+            line_too_long conn
+          else Buffer.add_subbytes conn.rbuf bytes start (len - start)
+      | Some i ->
+          if Buffer.length conn.rbuf + (i - start) > max_line then
+            line_too_long conn
+          else begin
+            Buffer.add_subbytes conn.rbuf bytes start (i - start);
+            let line = Buffer.contents conn.rbuf in
+            Buffer.clear conn.rbuf;
+            handle_line t conn line;
+            go (i + 1)
+          end
   in
   go 0
 

@@ -12,6 +12,9 @@
                              [Engine.pp_outcome]
     err MESSAGE              parse failure; nothing was submitted, the
                              connection stays usable
+    err line-too-long        a line ran past {!max_line} bytes without
+                             a newline; nothing of it was submitted,
+                             and the server closes the connection
     ok pong                  reply to the 'ping' verb
     ok bye                   reply to the 'shutdown' verb, sent {e
                              after} every shard has drained and the
@@ -28,6 +31,11 @@
     [net.errors], [net.timeouts], [net.shutdowns], [net.port]. *)
 
 type t
+
+val max_line : int
+(** The longest request line accepted, in bytes (1 MiB), newline
+    excluded. Input is scanned only as it arrives, so a connection costs
+    time linear in what it sends and at most this much buffer. *)
 
 val create :
   hexpr_of_string:(string -> Core.Hexpr.t) ->

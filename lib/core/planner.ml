@@ -35,10 +35,15 @@ let dedup_sites sites =
       end)
     sites
 
-let sites repo (cloc, ch) =
-  dedup_sites
-    (open_sites cloc ch
-    @ List.concat_map (fun (loc, h) -> open_sites loc h) repo)
+let repo_sites repo =
+  dedup_sites (List.concat_map (fun (loc, h) -> open_sites loc h) repo)
+
+(* [dedup_sites] keeps the first site of each request identifier, so
+   deduplicating the repository's part first changes nothing *)
+let sites_with repo_sites (cloc, ch) =
+  dedup_sites (open_sites cloc ch @ repo_sites)
+
+let sites repo client = sites_with (repo_sites repo) client
 
 let client_sites (cloc, ch) = dedup_sites (open_sites cloc ch)
 
@@ -68,7 +73,7 @@ let reachable_sites repo plan (cloc, ch) =
   in
   go [] [] (open_sites cloc ch)
 
-let analyze ?cache ?(level = Compliance.Strict) repo ~client plan =
+let analyze ?cache ?universe ?(level = Compliance.Strict) repo ~client plan =
   Obs.Trace.with_span "planner.analyze" @@ fun () ->
   if Obs.Trace.active () then begin
     Obs.Trace.add_attr "client" (Obs.Trace.Str (fst client));
@@ -126,18 +131,23 @@ let analyze ?cache ?(level = Compliance.Strict) repo ~client plan =
   match check_compliance sites with
   | Some r -> { plan; verdict = Error r }
   | None -> (
-      match Netcheck.check_client ~level repo plan client with
+      match Netcheck.check_client ?universe ~level repo plan client with
       | Netcheck.Valid stats -> { plan; verdict = Ok stats }
       | Netcheck.Invalid stuck -> { plan; verdict = Error (Insecure stuck) })
 
 let enumerate repo ~client:(cloc, ch) =
   ignore cloc;
   let locs = List.map fst repo in
-  let reqs_of loc =
-    match List.assoc_opt loc repo with
-    | None -> []
-    | Some h -> List.map (fun s -> s.req.Hexpr.rid) (open_sites loc h)
-  in
+  (* each location's requests, walked once per enumeration; the first
+     binding of a location wins, as with [List.assoc] *)
+  let reqs = Hashtbl.create 17 in
+  List.iter
+    (fun (loc, h) ->
+      if not (Hashtbl.mem reqs loc) then
+        Hashtbl.add reqs loc
+          (List.map (fun s -> s.req.Hexpr.rid) (open_sites loc h)))
+    repo;
+  let reqs_of loc = Option.value (Hashtbl.find_opt reqs loc) ~default:[] in
   let rec go plan pending =
     match pending with
     | [] -> [ plan ]

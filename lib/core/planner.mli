@@ -19,6 +19,15 @@ val sites : Network.repo -> string * Hexpr.t -> site list
     in). Sites are keyed by request identifier; a service shared by two
     requests contributes its sites once. *)
 
+val repo_sites : Network.repo -> site list
+(** The request sites of every repository service, duplicate-free by
+    request identifier: the repository's part of {!sites}, for callers
+    that check many clients against one repository. *)
+
+val sites_with : site list -> string * Hexpr.t -> site list
+(** [sites_with (repo_sites repo) client] is [sites repo client], with
+    the repository walked once rather than once per client. *)
+
 val client_sites : string * Hexpr.t -> site list
 (** Only the client's own [open]s (nested ones included), duplicate-free
     by request identifier — the sites the orchestration tier
@@ -40,6 +49,7 @@ type report = { plan : Plan.t; verdict : (Netcheck.stats, reason) result }
 
 val analyze :
   ?cache:Product.survey Repr.Key.Pair_tbl.t ->
+  ?universe:Usage.Policy.t list ->
   ?level:Compliance.level ->
   Network.repo ->
   client:string * Hexpr.t ->
@@ -56,7 +66,15 @@ val analyze :
     the {!Netcheck} exploration, but only their communication-stuck
     tolerance loosens: the security conditions (security stucks,
     unplanned requests) stay fatal at every level, so a verdict
-    admitted at a weaker level can never hide a policy violation. *)
+    admitted at a weaker level can never hide a policy violation.
+
+    [universe] is the policy universe handed to
+    {!Netcheck.check_client}; omitted, it defaults to every policy of
+    the repository and the client, recomputed on each call. A caller
+    analysing many plans of one client against one repository (the
+    broker's first-valid search) computes that same list once and passes
+    it: sorted by {!Usage.Policy.compare} and duplicate-free, it gives
+    the verdict the default would. *)
 
 val enumerate : Network.repo -> client:string * Hexpr.t -> Plan.t list
 (** All complete plans for the client: every reachable request bound to

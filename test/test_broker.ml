@@ -720,6 +720,344 @@ let test_mediate_script_codec () =
   | Ok r -> Alcotest.failf "parsed to %a" Broker.pp_request r
   | Error e -> Alcotest.failf "parse failed: %s" e
 
+(* ------------------------------------------------------------------ *)
+(* The plan-verdict memo: a first-valid search reuses the verdicts of
+   plans whose inputs are unchanged. Differential tests against the cold
+   oracle over seeded workloads with the memo's edge cases woven in, the
+   budget accounting, and the memory bound. *)
+
+(* The edge cases, each a block of submissions ending in serves: an
+   update to a structurally equal service; a retract and re-publish of
+   one location, first with a changed service, then back, then the same
+   change by update; a client re-opened with a new body, with and
+   without a close first;
+   publishes (then retracts) that change every client's policy
+   universe. *)
+let memo_blocks =
+  let open Broker in
+  let serve c = Serve { client = c } in
+  let s4_low = Scenarios.Hotel.hotel "s4" ~price:50 ~rating:60 ~extra:[] in
+  let c2_new =
+    Hexpr.open_ ~rid:2 ~policy:Scenarios.Hotel.phi1
+      (Scenarios.Hotel.client_request_body Scenarios.Hotel.phi1)
+  in
+  (* same policy, so the same universe: only the body tells it apart *)
+  let c1_new =
+    Hexpr.open_ ~rid:1 ~policy:Scenarios.Hotel.phi1
+      (Hexpr.branch [ ("nobody", Hexpr.nil) ])
+  in
+  let never ev = Usage.Policy_lib.instantiate0 (Usage.Policy_lib.never ev) in
+  let never_a = never "a" in
+  let framed =
+    Hexpr.frame (never "del")
+      (Scenarios.Hotel.hotel "sx" ~price:30 ~rating:100 ~extra:[ "del" ])
+  in
+  [
+    [
+      Update
+        {
+          loc = "s1";
+          service = Scenarios.Hotel.hotel "s1" ~price:45 ~rating:80 ~extra:[];
+        };
+      serve "c1";
+      serve "c2";
+    ];
+    [
+      Retract { loc = "s4" };
+      serve "c2";
+      Publish { loc = "s4"; service = s4_low };
+      serve "c2";
+      Retract { loc = "s4" };
+      Publish { loc = "s4"; service = Scenarios.Hotel.s4 };
+      serve "c2";
+      Update { loc = "s4"; service = s4_low };
+      serve "c2";
+      Update { loc = "s4"; service = Scenarios.Hotel.s4 };
+      serve "c2";
+    ];
+    [
+      Close { client = "c2" };
+      Open { client = "c2"; body = c2_new };
+      serve "c2";
+    ];
+    (* re-registration without a close replaces the body too *)
+    [
+      Open { client = "c1"; body = c1_new };
+      serve "c1";
+      Open { client = "c1"; body = Scenarios.Hotel.client1 };
+      serve "c1";
+    ];
+    [
+      Publish { loc = "sx"; service = framed };
+      serve "c1";
+      serve "c2";
+      serve "c3";
+      Retract { loc = "sx" };
+      serve "c1";
+      serve "c3";
+    ];
+    (* a service whose two branches log different events, then meet:
+       with [never a] in the universe its cursor tells the branches
+       apart, so the valid plan's state count grows when a publish
+       brings that policy in, though the plan binds nothing new *)
+    [
+      Publish
+        {
+          loc = "sv";
+          service =
+            Hexpr.seq
+              (Hexpr.select [ ("l", Hexpr.ev "a"); ("r", Hexpr.ev "b") ])
+              (Hexpr.select [ ("m", Hexpr.nil) ]);
+        };
+      Open
+        {
+          client = "cz";
+          body =
+            Hexpr.open_ ~rid:7
+              (Hexpr.seq
+                 (Hexpr.branch [ ("l", Hexpr.nil); ("r", Hexpr.nil) ])
+                 (Hexpr.branch [ ("m", Hexpr.nil) ]));
+        };
+      serve "cz";
+      Publish { loc = "pz"; service = Hexpr.frame never_a Hexpr.nil };
+      serve "cz";
+      Retract { loc = "pz" };
+      serve "cz";
+    ];
+  ]
+
+(* A seeded churn workload with every block inserted at a seeded point
+   after the prologue, flattened to its submissions. *)
+let memo_script seed =
+  let profile =
+    {
+      (Testkit.Workload.default ~clients:Scenarios.Churn.clients
+         ~spares:Scenarios.Churn.spares ~noise:Scenarios.Churn.noise)
+      with
+      Testkit.Workload.seed;
+      requests = 60;
+    }
+  in
+  let items, _ = Testkit.Workload.generate profile in
+  let requests =
+    List.filter_map
+      (function Broker.Script.Submit r -> Some r | _ -> None)
+      items
+  in
+  let prologue = List.length Scenarios.Churn.clients in
+  let st = Random.State.make [| seed |] in
+  List.fold_left
+    (fun reqs block ->
+      let at =
+        prologue + Random.State.int st (List.length reqs - prologue + 1)
+      in
+      List.filteri (fun i _ -> i < at) reqs
+      @ block
+      @ List.filteri (fun i _ -> i >= at) reqs)
+    requests memo_blocks
+
+(* What a budgeted cold search answers: the oracle's verdict, or
+   [`Degraded] when the first valid plan lies past the budget; and the
+   plans it examines. *)
+let cold_search ~budget ~level repo ~client =
+  let plans = Planner.enumerate repo ~client in
+  let rec go n = function
+    | [] -> (`Verdict Broker.Index.No_plan, n)
+    | p :: rest ->
+        if n >= budget then (`Degraded, n)
+        else
+          let r = Planner.analyze ~level repo ~client p in
+          if Result.is_ok r.Planner.verdict then
+            (`Verdict (Broker.Index.Valid r), n + 1)
+          else go (n + 1) rest
+  in
+  go 0 plans
+
+let levels = [| Compliance.Strict; Compliance.Skip_k 1; Compliance.Affectible |]
+
+(* Every serve, each at a seeded level, against the cold search on the
+   repository as it stood: the verdict, and — when the serve missed the
+   index — the plans charged to the budget and to [stats.analyzed],
+   which memo hits must not change. *)
+let memo_differential ~budget seed =
+  let b =
+    Broker.create
+      ~admission:{ Broker.default_admission with plan_budget = budget }
+      Scenarios.Churn.repo
+  in
+  let st = Random.State.make [| seed; budget |] in
+  let stats = Broker.stats b in
+  List.iter
+    (fun request ->
+      match request with
+      | Broker.Serve { client } when List.mem_assoc client (Broker.clients b)
+        -> (
+          let body = List.assoc client (Broker.clients b) in
+          let level = levels.(Random.State.int st (Array.length levels)) in
+          let hits = stats.Broker.hits and analyzed = stats.Broker.analyzed in
+          let r = Broker.replay b ~seq:(Broker.seq b) ~level request in
+          let expect, examined =
+            cold_search ~budget ~level (Broker.repo b) ~client:(client, body)
+          in
+          let what =
+            Fmt.str "seed %d budget %d: %a" seed budget Broker.pp_response r
+          in
+          (* an index hit examines nothing; a miss is charged every plan
+             the cold search examines, memo hits included *)
+          Alcotest.(check int) (what ^ " (analyzed)")
+            (if stats.Broker.hits > hits then 0 else examined)
+            (stats.Broker.analyzed - analyzed);
+          match (r.Broker.outcome, expect) with
+          | Broker.Served { report; level = l; _ }, `Verdict v ->
+              Alcotest.(check bool) (what ^ " (level)") true
+                (Compliance.equal_level l level);
+              Alcotest.(check bool) what true
+                (Broker.verdict_equal (Broker.Index.Valid report) v)
+          | Broker.Rejected Broker.No_plan, `Verdict v ->
+              Alcotest.(check bool) what true
+                (Broker.verdict_equal Broker.Index.No_plan v)
+          | Broker.Degraded { analyzed = n; _ }, `Degraded ->
+              Alcotest.(check int) (what ^ " (degraded after)") budget n
+          | _ -> Alcotest.failf "%s: the cold search disagrees" what)
+      | _ ->
+          ignore
+            (Broker.replay b ~seq:(Broker.seq b) ~level:Compliance.Strict
+               request))
+    (memo_script seed);
+  stats
+
+let test_memo_differential () =
+  List.iter
+    (fun seed ->
+      let st = memo_differential ~budget:10_000 seed in
+      Alcotest.(check bool) "the memo answered some plans" true
+        (st.Broker.memo_hits > 0);
+      (* a budget below the plan count: misses degrade, and memo hits
+         count toward the budget exactly as fresh analyses do *)
+      let st = memo_differential ~budget:3 seed in
+      Alcotest.(check bool)
+        "small budgets degrade" true (st.Broker.degraded > 0))
+    [ 1; 2; 3; 4; 5; 6 ]
+
+(* The same scripts through a 4-shard pool: each shard keeps its own
+   memo and applies every mutation. Drained after every submission, so
+   each serve is checked against its shard's repository as it stood. *)
+let test_memo_sharded () =
+  List.iter
+    (fun seed ->
+      let pool =
+        Broker.Shard.create
+          ~admission:{ Broker.default_admission with plan_budget = 10_000 }
+          ~shards:4 Scenarios.Churn.repo
+      in
+      let lock = Mutex.create () in
+      let last = ref None in
+      let compared = ref 0 in
+      List.iter
+        (fun request ->
+          Broker.Shard.submit pool
+            ~callback:(fun ~shard resp ->
+              Mutex.lock lock;
+              last := Some (shard, resp);
+              Mutex.unlock lock)
+            request;
+          Broker.Shard.drain pool;
+          match (request, !last) with
+          | Broker.Serve { client }, Some (shard, resp) -> (
+              let e = Broker.Shard.engine pool shard in
+              match List.assoc_opt client (Broker.clients e) with
+              | None -> ()
+              | Some body ->
+                  incr compared;
+                  let got =
+                    match resp.Broker.outcome with
+                    | Broker.Served { report; _ } -> Broker.Index.Valid report
+                    | _ -> Broker.Index.No_plan
+                  in
+                  Alcotest.(check bool)
+                    (Fmt.str "seed %d shard %d: %a" seed shard
+                       Broker.pp_response resp)
+                    true
+                    (Broker.verdict_equal got
+                       (Broker.Oracle.serve (Broker.repo e)
+                          ~client:(client, body))))
+          | _ -> ())
+        (memo_script seed);
+      Broker.Shard.stop pool;
+      Alcotest.(check bool) "serves compared" true (!compared > 0))
+    [ 1; 2; 3 ]
+
+(* The memory bound under publish/retract churn over fresh location
+   names: the memo never holds more than, per live client, the plans the
+   current repository enumerates, once per level served at. *)
+let test_memo_bound () =
+  let b =
+    Broker.create
+      ~admission:{ Broker.default_admission with plan_budget = 10_000 }
+      Scenarios.Hotel.repo
+  in
+  (* a client no hotel satisfies examines every plan, those binding the
+     fresh locations included *)
+  let picky =
+    let phi =
+      Usage.Policy_lib.hotel_policy ~blacklist:[] ~price:0 ~rating:1000
+    in
+    Hexpr.open_ ~rid:9 ~policy:phi (Scenarios.Hotel.client_request_body phi)
+  in
+  List.iter
+    (fun (client, body) -> ignore (process b (Broker.Open { client; body })))
+    (("picky", picky) :: Scenarios.Churn.clients);
+  let served_levels = [ Compliance.Strict; Compliance.Affectible ] in
+  let bound () =
+    List.fold_left
+      (fun acc (client, body) ->
+        acc
+        + List.length (Planner.enumerate (Broker.repo b) ~client:(client, body))
+          * List.length served_levels)
+      0 (Broker.clients b)
+  in
+  let peak = ref 0 in
+  for i = 1 to 40 do
+    let fresh = Fmt.str "h%d" i in
+    ignore
+      (process b
+         (Broker.Publish
+            {
+              loc = fresh;
+              service =
+                Scenarios.Hotel.hotel fresh ~price:(30 + (i mod 5 * 10))
+                  ~rating:(70 + (i mod 4 * 10)) ~extra:[];
+            }));
+    if i > 2 then
+      ignore (process b (Broker.Retract { loc = Fmt.str "h%d" (i - 2) }));
+    if i mod 7 = 0 then ignore (process b (Broker.Close { client = "c3" }))
+    else if i mod 7 = 3 then
+      ignore
+        (process b
+           (Broker.Open
+              { client = "c3"; body = List.assoc "c3" Scenarios.Churn.clients }));
+    List.iter
+      (fun level ->
+        List.iter
+          (fun (client, _) ->
+            ignore
+              (Broker.replay b ~seq:(Broker.seq b) ~level
+                 (Broker.Serve { client })))
+          (Broker.clients b))
+      served_levels;
+    let size = Broker.plan_memo_size b in
+    peak := max !peak size;
+    if size > bound () then
+      Alcotest.failf "step %d: %d memo entries over the bound %d" i size
+        (bound ())
+  done;
+  Alcotest.(check bool) "the memo was used" true (!peak > 0);
+  (* closing every client empties it *)
+  List.iter
+    (fun (client, _) -> ignore (process b (Broker.Close { client })))
+    (Broker.clients b);
+  Alcotest.(check int) "closed clients hold nothing" 0 (Broker.plan_memo_size b)
+
 let suite =
   [
     Alcotest.test_case "canned churn scenario" `Quick test_canned_script;
@@ -761,4 +1099,10 @@ let suite =
       test_mediate_declines;
     Alcotest.test_case "mediate round-trips the script codec" `Quick
       test_mediate_script_codec;
+    Alcotest.test_case "plan memo: serves = cold search, budget intact"
+      `Quick test_memo_differential;
+    Alcotest.test_case "plan memo: sharded serves = cold oracle" `Quick
+      test_memo_sharded;
+    Alcotest.test_case "plan memo: bounded by live clients' plans" `Quick
+      test_memo_bound;
   ]

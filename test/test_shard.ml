@@ -488,6 +488,73 @@ let test_net_idle_timeout () =
   (try Unix.close busy_fd with Unix.Unix_error _ -> ());
   Domain.join d
 
+(* Satellite: the socket input bound. A line that runs past
+   [Net.max_line] bytes without a newline is answered 'err line-too-long'
+   and its connection closed, without being submitted; lines up to the
+   bound, and other connections, are served as before. *)
+let test_net_line_too_long () =
+  let pool =
+    Broker.Shard.create ~admission:Broker.default_admission ~shards:1
+      Scenarios.Churn.repo
+  in
+  let server = Broker.Net.create ~hexpr_of_string ~port:0 pool in
+  let port = Broker.Net.port server in
+  let d = Domain.spawn (fun () -> Broker.Net.serve server) in
+  let connect () =
+    let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+    let rec go tries =
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      match Unix.connect fd addr with
+      | () -> (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          Unix.sleepf 0.1;
+          go (tries - 1)
+    in
+    go 50
+  in
+  let send oc text =
+    output_string oc text;
+    flush oc
+  in
+  let long_fd, long_ic, long_oc = connect () in
+  let ok_fd, ok_ic, ok_oc = connect () in
+  (* a server that never answers fails the test instead of hanging it *)
+  List.iter
+    (fun fd -> Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.)
+    [ long_fd; ok_fd ];
+  (* a comment line of exactly the bound is accepted (and ignored), in
+     pieces: the partial line survives across reads *)
+  let fill = String.make (Broker.Net.max_line - 1) 'x' in
+  send long_oc "#";
+  send long_oc (String.sub fill 0 1000);
+  send long_oc (String.sub fill 1000 (String.length fill - 1000) ^ "\nping\n");
+  Alcotest.(check string) "line at the bound accepted" "ok pong"
+    (input_line long_ic);
+  (* one byte more, with no newline, is refused and the connection hung
+     up; the server has read every byte sent, so nothing is left to fail
+     with a broken pipe *)
+  send long_oc ("serve c1" ^ String.make (Broker.Net.max_line - 7) ' ');
+  Alcotest.(check string) "over-long line refused" "err line-too-long"
+    (input_line long_ic);
+  (match input_line long_ic with
+  | line -> Alcotest.failf "over-long connection still open: %s" line
+  | exception End_of_file -> ());
+  (try Unix.close long_fd with Unix.Unix_error _ -> ());
+  (* nothing of the refused line reached the pool, and other
+     connections are unaffected *)
+  send ok_oc "ping\n";
+  Alcotest.(check string) "other connection served" "ok pong"
+    (input_line ok_ic);
+  send ok_oc "serve c1\n";
+  let reply = input_line ok_ic in
+  Alcotest.(check string) "first request of the pool"
+    "ok 0 0" (String.sub reply 0 6);
+  send ok_oc "shutdown\n";
+  Alcotest.(check string) "clean shutdown" "ok bye" (input_line ok_ic);
+  (try Unix.close ok_fd with Unix.Unix_error _ -> ());
+  Domain.join d
+
 let suite =
   [
     Alcotest.test_case "route: pinned values, stability" `Quick
@@ -514,5 +581,7 @@ let suite =
       test_net_smoke;
     Alcotest.test_case "socket front end: idle connections reaped" `Quick
       test_net_idle_timeout;
+    Alcotest.test_case "socket front end: over-long lines refused" `Quick
+      test_net_line_too_long;
     QCheck_alcotest.to_alcotest prop_route_total;
   ]

@@ -1224,7 +1224,7 @@ let timing_b4 () =
 
 (* ------------------------------------------------------------------ *)
 (* B11 — compiled tables: first-analysis cost, interpreted vs cold
-   compile vs warm reload from the on-disk automaton cache.
+   compile (lowering, minimization and the table product together).
 
    Bechamel amortizes over thousands of iterations, which is exactly
    wrong for a one-shot "first analysis after startup" cost, so this
@@ -1232,16 +1232,16 @@ let timing_b4 () =
    few repetitions. *)
 
 let b11_compile () =
-  section "B11: compiled tables — first analysis, cold vs warm";
+  section "B11: compiled tables — first analysis, interpreted vs cold";
   (* Installation is sticky but dispatch is gated; leave the gate off
      afterwards so B1–B10 keep measuring the interpreted engine. *)
   Compile.Backend.install ();
-  Compile.Backend.set_enabled false;
+  Fun.protect ~finally:(fun () -> Compile.Backend.set_enabled false)
+  @@ fun () ->
   let n = if !quick then 64 else 256 in
   let reps = 5 in
-  (* One first-analysis sample: drop every derived-result cache, then
-     run [f] once. The store survives [clear_all] by design (entries
-     are structurally keyed), which is precisely the warm path. *)
+  (* One first-analysis sample: drop every derived-result cache (the
+     compiled tables included), then run [f] once. *)
   let min_ms f =
     let best = ref infinity in
     for _ = 1 to reps do
@@ -1253,7 +1253,14 @@ let b11_compile () =
     done;
     !best
   in
-  let shapes =
+  List.iter
+    (fun (label, c, s) ->
+      Compile.Backend.set_enabled false;
+      let interp = min_ms (fun () -> Product.compliant c s) in
+      Compile.Backend.set_enabled true;
+      let cold = min_ms (fun () -> Product.compliant c s) in
+      pf "  %-16s first analysis: interpreted %8.3fms  cold %8.3fms@." label
+        interp cold)
     [
       ( Printf.sprintf "ping-pong n=%d" n,
         Contract.project (ping n),
@@ -1262,74 +1269,6 @@ let b11_compile () =
         Contract.project (wide_client n),
         Contract.project (wide_server n) );
     ]
-  in
-  let file = Filename.temp_file "susf-bench" ".susfc" in
-  Fun.protect
-    ~finally:(fun () ->
-      Compile.Store.detach ();
-      Compile.Backend.set_enabled false;
-      if Sys.file_exists file then Sys.remove file)
-  @@ fun () ->
-  (* Populate the on-disk cache once, from scratch. *)
-  (match Compile.Store.attach file with
-  | Ok _ -> ()
-  | Error diag -> pf "  (store refused: %s)@." diag);
-  Repr.Cache.clear_all ();
-  Compile.Backend.set_enabled true;
-  List.iter
-    (fun (_, c, s) ->
-      ignore (Compile.Backend.get c);
-      ignore (Compile.Backend.get s))
-    shapes;
-  (match Compile.Store.save () with
-  | Ok _ -> ()
-  | Error diag -> pf "  (store save failed: %s)@." diag);
-  Compile.Store.detach ();
-  (* Interpreted and cold-compile baselines run without the store. *)
-  let timed =
-    List.map
-      (fun (label, c, s) ->
-        Compile.Backend.set_enabled false;
-        let interp = min_ms (fun () -> Product.compliant c s) in
-        Compile.Backend.set_enabled true;
-        let cold = min_ms (fun () -> Product.compliant c s) in
-        (label, c, s, interp, cold))
-      shapes
-  in
-  (match Compile.Store.attach file with
-  | Ok loaded -> pf "  table cache: %d entries reloaded from disk@." loaded
-  | Error diag -> pf "  (store refused: %s)@." diag);
-  let lowered_before = Compile.Backend.lower_count () in
-  List.iter
-    (fun (label, c, s, interp, cold) ->
-      let warm = min_ms (fun () -> Product.compliant c s) in
-      pf "  %-16s first analysis: interpreted %8.3fms  cold %8.3fms  warm %8.3fms@."
-        label interp cold warm;
-      if not !quick then
-        check_line ~expected:"true"
-          ~got:(string_of_bool (warm < cold))
-          (Printf.sprintf "%s: warm reload beats cold compile" label))
-    timed;
-  let store_stats = List.assoc "compile.store" (Repr.Cache.stats ()) in
-  check_line ~expected:"true"
-    ~got:(string_of_bool (store_stats.Repr.Cache.hits > 0))
-    "warm runs answered from the table cache (hits > 0)";
-  check_line ~expected:"0"
-    ~got:(string_of_int (Compile.Backend.lower_count () - lowered_before))
-    "lowerings during warm runs (zero recompiles)";
-  Compile.Store.detach ();
-  (* B6 shape: validity of a long history under a counting policy —
-     the compiled path steps grounded bitset policy rows. Rows are
-     derived per process (never persisted), so there is no warm/cold
-     split, just interpreted vs compiled. *)
-  let h = history_of_length n in
-  Compile.Backend.set_enabled false;
-  let interp = min_ms (fun () -> Validity.check h) in
-  Compile.Backend.set_enabled true;
-  let compiled = min_ms (fun () -> Validity.check h) in
-  pf "  %-16s first analysis: interpreted %8.3fms  compiled %8.3fms@."
-    (Printf.sprintf "policy n=%d" n)
-    interp compiled
 
 (* ------------------------------------------------------------------ *)
 

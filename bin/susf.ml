@@ -98,18 +98,6 @@ let apply_compiled = function
       Fmt.epr "bad --compiled: %S (want yes or no)@." s;
       exit 2
 
-let table_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "table-cache" ] ~docv:"FILE"
-        ~doc:
-          "Persistent automaton cache: load compiled transition tables from \
-           $(docv) at startup and atomically save new ones back at shutdown, \
-           so warm restarts (and $(b,--recover)) reload tables instead of \
-           recompiling. A damaged or version-stale file is refused with a \
-           diagnostic and rebuilt from scratch. See docs/COMPILE.md.")
-
 (* Install the requested observability sinks, run the command body (which
    returns the exit code instead of calling [exit]), flush the JSON
    files, and only then exit. *)
@@ -1048,21 +1036,9 @@ let serve_cmd =
   in
   let run file script queue budget floor json trace metrics journal
       snapshot_every recover force faults listen shards batch connect conns
-      check do_shutdown net_timeout compiled table_cache =
+      check do_shutdown net_timeout compiled =
     with_obs ~trace ~metrics @@ fun () ->
     apply_compiled compiled;
-    (match table_cache with
-    | None -> ()
-    | Some f -> (
-        match Compile.Store.attach f with
-        | Ok n ->
-            if n > 0 then
-              Fmt.epr "-- table cache: %d compiled contracts loaded from %s@."
-                n f
-        | Error diag ->
-            (* refused cache: never trust a damaged table — recompile
-               everything and overwrite the file at shutdown *)
-            Fmt.epr "warning: %s — rebuilding table cache@." diag));
     let spec = load file in
     let hexpr_of_string src =
       try Syntax.Parser.hexpr_of_string ~automata:spec.Syntax.Spec.automata src
@@ -1262,235 +1238,226 @@ let serve_cmd =
           open_conns;
       if errs = [] then 0 else 1
     in
-    let code =
-      match (listen, connect) with
-      | Some _, Some _ ->
-          Fmt.epr "--listen and --connect are mutually exclusive@.";
+    match (listen, connect) with
+    | Some _, Some _ ->
+        Fmt.epr "--listen and --connect are mutually exclusive@.";
+        exit 2
+    | Some port, None -> serve_listen port
+    | None, Some hostport -> serve_connect hostport
+    | None, None ->
+      let items = load_script () in
+      let sfaults =
+        match faults with
+        | None -> []
+        | Some s -> (
+            match Runtime.Faults.parse_serve s with
+            | Ok fs -> fs
+            | Error msg ->
+                Fmt.epr "--faults: %s@." msg;
+                exit 2)
+      in
+      (match journal with
+      | Some j when (not recover) && (not force) && Sys.file_exists j ->
+          Fmt.epr
+            "%s exists — pass --force to overwrite it, or --recover to \
+             resume from it@."
+            j;
           exit 2
-      | Some port, None -> serve_listen port
-      | None, Some hostport -> serve_connect hostport
-      | None, None ->
-        let items = load_script () in
-        let sfaults =
-          match faults with
-          | None -> []
-          | Some s -> (
-              match Runtime.Faults.parse_serve s with
-              | Ok fs -> fs
-              | Error msg ->
-                  Fmt.epr "--faults: %s@." msg;
-                  exit 2)
-        in
-        (match journal with
-        | Some j when (not recover) && (not force) && Sys.file_exists j ->
-            Fmt.epr
-              "%s exists — pass --force to overwrite it, or --recover to \
-               resume from it@."
-              j;
-            exit 2
-        | _ -> ());
-        (* A fresh journaled run must not inherit a previous run's
-           snapshot: --recover pairs FILE with FILE.snapshot
-           unconditionally, and a stale snapshot whose [upto] happens
-           to fit the new journal would silently restore the wrong
-           run's state. *)
-        (match journal with
-        | Some j when not recover ->
-            let snap = j ^ ".snapshot" in
-            if Sys.file_exists snap then Sys.remove snap
-        | _ -> ());
-        let broker, recovered =
-          if not recover then (Broker.create ~admission repo, None)
-          else
-            match journal with
-            | None ->
-                Fmt.epr "--recover needs --journal@.";
-                exit 2
-            | Some j -> (
-                match
-                  Broker.Recovery.recover ~hexpr_of_string
-                    ~snapshot:(j ^ ".snapshot") ~admission ~journal:j repo
-                with
-                | Error msg ->
-                    Fmt.epr "recovery failed: %s@." msg;
-                    exit 2
-                | Ok (b, r) ->
-                    if r.Broker.Recovery.torn_dropped then
-                      Broker.Journal.drop_torn_tail j;
-                    Fmt.epr "-- %a@." Broker.Recovery.pp_report r;
-                    (b, Some r))
-        in
-        (* resume: skip the script submissions the journal already
-           covers — keyed on the recorded submission index, not a
-           count, because shed markers interleave with submissions that
-           were still queued at the crash and must be re-submitted —
-           and verify each skipped one against its journal entry *)
-        let items =
-          let covered =
-            match recovered with
-            | Some r -> r.Broker.Recovery.events
-            | None -> []
-          in
-          match
-            Broker.Recovery.resume_script ~hexpr_to_string ~covered items
-          with
-          | Ok items -> items
-          | Error msg ->
-              Fmt.epr "--recover: %s@." msg;
-              exit 2
-        in
-        let writer =
-          Option.map
-            (fun j ->
-              Broker.Journal.create ~hexpr_to_string ~append:recover ~batch j)
-            journal
-        in
-        let logged =
-          ref
-            (match recovered with
-            | Some r -> r.Broker.Recovery.entries
-            | None -> 0)
-        in
-        let accepted =
-          ref
-            (match recovered with
-            | Some r -> r.Broker.Recovery.entries - r.Broker.Recovery.sheds
-            | None -> 0)
-        in
-        let last_snap = ref !accepted in
-        (* submission indices of the queued-but-unprocessed requests,
-           mirroring the broker's FIFO: the write-ahead hook pops the
-           index the processed request was submitted under *)
-        let pending = Queue.create () in
-        let exception Crashed of Runtime.Faults.serve_kind in
-        let hook ~seq ~level request =
-          (match Runtime.Faults.serve_fires sfaults ~accepted:!accepted with
-          | Some k -> raise (Crashed k)
-          | None -> ());
-          let submit = Queue.pop pending in
-          Option.iter
-            (fun w ->
-              Broker.Journal.append w
-                {
-                  Broker.Journal.seq;
-                  submit;
-                  shed = false;
-                  rescued = false;
-                  level;
-                  request;
-                };
-              incr logged)
-            writer;
-          incr accepted
-        in
-        if Option.is_some writer || sfaults <> [] then
-          Broker.set_journal broker (Some hook);
-        let maybe_snapshot () =
+      | _ -> ());
+      (* A fresh journaled run must not inherit a previous run's
+         snapshot: --recover pairs FILE with FILE.snapshot
+         unconditionally, and a stale snapshot whose [upto] happens
+         to fit the new journal would silently restore the wrong
+         run's state. *)
+      (match journal with
+      | Some j when not recover ->
+          let snap = j ^ ".snapshot" in
+          if Sys.file_exists snap then Sys.remove snap
+      | _ -> ());
+      let broker, recovered =
+        if not recover then (Broker.create ~admission repo, None)
+        else
           match journal with
-          | Some j when snapshot_every > 0 && !accepted - !last_snap >= snapshot_every
-            ->
-              (* the snapshot's [upto] claims those entries are on disk,
-                 so a group-commit buffer must be flushed first *)
-              Option.iter Broker.Journal.flush writer;
-              Broker.Recovery.write ~hexpr_to_string (j ^ ".snapshot")
-                (Broker.Recovery.snapshot_of broker ~upto:!logged);
-              last_snap := !accepted
-          | _ -> ()
+          | None ->
+              Fmt.epr "--recover needs --journal@.";
+              exit 2
+          | Some j -> (
+              match
+                Broker.Recovery.recover ~hexpr_of_string
+                  ~snapshot:(j ^ ".snapshot") ~admission ~journal:j repo
+              with
+              | Error msg ->
+                  Fmt.epr "recovery failed: %s@." msg;
+                  exit 2
+              | Ok (b, r) ->
+                  if r.Broker.Recovery.torn_dropped then
+                    Broker.Journal.drop_torn_tail j;
+                  Fmt.epr "-- %a@." Broker.Recovery.pp_report r;
+                  (b, Some r))
+      in
+      (* resume: skip the script submissions the journal already
+         covers — keyed on the recorded submission index, not a
+         count, because shed markers interleave with submissions that
+         were still queued at the crash and must be re-submitted —
+         and verify each skipped one against its journal entry *)
+      let items =
+        let covered =
+          match recovered with
+          | Some r -> r.Broker.Recovery.events
+          | None -> []
         in
-        let responses = ref [] in
-        let crashed = ref None in
-        let push r = responses := r :: !responses in
-        let rec drain_steps () =
-          match Broker.step broker with
-          | None -> ()
-          | Some r ->
-              push r;
-              drain_steps ()
-        in
-        (try
-           List.iter
-             (fun (idx, item) ->
-               (match item with
-               | Broker.Script.Submit r -> (
-                   match Broker.submit broker r with
-                   | None -> Queue.add idx pending
-                   | Some resp ->
-                       (* a full-queue answer consumed this submission
-                          and a sequence number, so journal a marker —
-                          otherwise --recover would re-submit it. Shed
-                          and rescued markers are distinguished so
-                          recovery can re-run the rescue's floor-level
-                          serve. The floor is read from the broker, not
-                          the CLI: [policy floor LEVEL] can have changed
-                          it since startup, and the rescue was answered
-                          at the live value *)
-                       let shed =
-                         match resp.Broker.outcome with
-                         | Broker.Rejected Broker.Shed -> true
-                         | _ -> false
-                       in
-                       Option.iter
-                         (fun w ->
-                           Broker.Journal.append w
-                             {
-                               Broker.Journal.seq = resp.Broker.seq;
-                               submit = idx;
-                               shed;
-                               rescued = not shed;
-                               level =
-                                 (if shed then Core.Compliance.Strict
-                                  else (Broker.admission broker).Broker.floor);
-                               request = r;
-                             };
-                           incr logged)
-                         writer;
-                       push resp)
-               | Broker.Script.Tick -> Option.iter push (Broker.step broker)
-               | Broker.Script.Drain -> drain_steps ());
-               maybe_snapshot ())
-             items;
-           drain_steps ()
-         with Crashed k -> crashed := Some k);
-        (match !crashed with
-        | Some Runtime.Faults.Torn_write ->
-            Option.iter Broker.Journal.tear writer
-        | _ -> ());
-        Option.iter Broker.Journal.close writer;
-        let responses = List.rev !responses in
-        let stats = Broker.stats broker in
-        if json then
-          Fmt.pr "%a@." Reports.Json.pp
-            (Reports.Json.Obj
-               [
-                 ( "responses",
-                   Reports.Json.List
-                     (List.map Reports.Encode.broker_response responses) );
-                 ("stats", Reports.Encode.broker_stats stats);
-               ])
-        else begin
-          List.iter (fun r -> Fmt.pr "%a@." Broker.pp_response r) responses;
-          Fmt.pr "-- %a@." Broker.pp_stats stats
-        end;
-        (match !crashed with
-        | None -> 0
-        | Some k ->
-            Fmt.epr "-- crashed (%s) after %d accepted events%s@."
-              (match k with
-              | Runtime.Faults.Crash_serve -> "crash"
-              | Runtime.Faults.Torn_write -> "torn write")
-              !accepted
-              (match journal with
-              | Some j -> Fmt.str "; resume with --recover --journal %s" j
-              | None -> "");
-            3)
-    in
-    (match table_cache with
-    | None -> ()
-    | Some _ -> (
-        match Compile.Store.save () with
-        | Ok _ -> ()
-        | Error e -> Fmt.epr "warning: failed to save table cache: %s@." e));
-    code
+        match
+          Broker.Recovery.resume_script ~hexpr_to_string ~covered items
+        with
+        | Ok items -> items
+        | Error msg ->
+            Fmt.epr "--recover: %s@." msg;
+            exit 2
+      in
+      let writer =
+        Option.map
+          (fun j ->
+            Broker.Journal.create ~hexpr_to_string ~append:recover ~batch j)
+          journal
+      in
+      let logged =
+        ref
+          (match recovered with
+          | Some r -> r.Broker.Recovery.entries
+          | None -> 0)
+      in
+      let accepted =
+        ref
+          (match recovered with
+          | Some r -> r.Broker.Recovery.entries - r.Broker.Recovery.sheds
+          | None -> 0)
+      in
+      let last_snap = ref !accepted in
+      (* submission indices of the queued-but-unprocessed requests,
+         mirroring the broker's FIFO: the write-ahead hook pops the
+         index the processed request was submitted under *)
+      let pending = Queue.create () in
+      let exception Crashed of Runtime.Faults.serve_kind in
+      let hook ~seq ~level request =
+        (match Runtime.Faults.serve_fires sfaults ~accepted:!accepted with
+        | Some k -> raise (Crashed k)
+        | None -> ());
+        let submit = Queue.pop pending in
+        Option.iter
+          (fun w ->
+            Broker.Journal.append w
+              {
+                Broker.Journal.seq;
+                submit;
+                shed = false;
+                rescued = false;
+                level;
+                request;
+              };
+            incr logged)
+          writer;
+        incr accepted
+      in
+      if Option.is_some writer || sfaults <> [] then
+        Broker.set_journal broker (Some hook);
+      let maybe_snapshot () =
+        match journal with
+        | Some j when snapshot_every > 0 && !accepted - !last_snap >= snapshot_every
+          ->
+            (* the snapshot's [upto] claims those entries are on disk,
+               so a group-commit buffer must be flushed first *)
+            Option.iter Broker.Journal.flush writer;
+            Broker.Recovery.write ~hexpr_to_string (j ^ ".snapshot")
+              (Broker.Recovery.snapshot_of broker ~upto:!logged);
+            last_snap := !accepted
+        | _ -> ()
+      in
+      let responses = ref [] in
+      let crashed = ref None in
+      let push r = responses := r :: !responses in
+      let rec drain_steps () =
+        match Broker.step broker with
+        | None -> ()
+        | Some r ->
+            push r;
+            drain_steps ()
+      in
+      (try
+         List.iter
+           (fun (idx, item) ->
+             (match item with
+             | Broker.Script.Submit r -> (
+                 match Broker.submit broker r with
+                 | None -> Queue.add idx pending
+                 | Some resp ->
+                     (* a full-queue answer consumed this submission
+                        and a sequence number, so journal a marker —
+                        otherwise --recover would re-submit it. Shed
+                        and rescued markers are distinguished so
+                        recovery can re-run the rescue's floor-level
+                        serve. The floor is read from the broker, not
+                        the CLI: [policy floor LEVEL] can have changed
+                        it since startup, and the rescue was answered
+                        at the live value *)
+                     let shed =
+                       match resp.Broker.outcome with
+                       | Broker.Rejected Broker.Shed -> true
+                       | _ -> false
+                     in
+                     Option.iter
+                       (fun w ->
+                         Broker.Journal.append w
+                           {
+                             Broker.Journal.seq = resp.Broker.seq;
+                             submit = idx;
+                             shed;
+                             rescued = not shed;
+                             level =
+                               (if shed then Core.Compliance.Strict
+                                else (Broker.admission broker).Broker.floor);
+                             request = r;
+                           };
+                         incr logged)
+                       writer;
+                     push resp)
+             | Broker.Script.Tick -> Option.iter push (Broker.step broker)
+             | Broker.Script.Drain -> drain_steps ());
+             maybe_snapshot ())
+           items;
+         drain_steps ()
+       with Crashed k -> crashed := Some k);
+      (match !crashed with
+      | Some Runtime.Faults.Torn_write ->
+          Option.iter Broker.Journal.tear writer
+      | _ -> ());
+      Option.iter Broker.Journal.close writer;
+      let responses = List.rev !responses in
+      let stats = Broker.stats broker in
+      if json then
+        Fmt.pr "%a@." Reports.Json.pp
+          (Reports.Json.Obj
+             [
+               ( "responses",
+                 Reports.Json.List
+                   (List.map Reports.Encode.broker_response responses) );
+               ("stats", Reports.Encode.broker_stats stats);
+             ])
+      else begin
+        List.iter (fun r -> Fmt.pr "%a@." Broker.pp_response r) responses;
+        Fmt.pr "-- %a@." Broker.pp_stats stats
+      end;
+      (match !crashed with
+      | None -> 0
+      | Some k ->
+          Fmt.epr "-- crashed (%s) after %d accepted events%s@."
+            (match k with
+            | Runtime.Faults.Crash_serve -> "crash"
+            | Runtime.Faults.Torn_write -> "torn write")
+            !accepted
+            (match journal with
+            | Some j -> Fmt.str "; resume with --recover --journal %s" j
+            | None -> "");
+          3)
   in
   let doc =
     "Run the orchestration broker over a workload script: a long-lived \
@@ -1503,7 +1470,7 @@ let serve_cmd =
       $ json_arg $ trace_arg $ metrics_arg $ journal_arg $ snapshot_every_arg
       $ recover_arg $ force_arg $ serve_faults_arg $ listen_arg $ shards_arg
       $ batch_arg $ connect_arg $ conns_arg $ check_arg $ shutdown_arg
-      $ net_timeout_arg $ compiled_arg $ table_cache_arg)
+      $ net_timeout_arg $ compiled_arg)
 
 (* --- show --- *)
 

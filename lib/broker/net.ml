@@ -60,10 +60,17 @@ type t = {
 let port t = t.port
 let pool t = t.pool
 
+(* A write to a peer that has hung up raises SIGPIPE, whose default
+   action kills the process before the write returns; ignored, the
+   write fails with EPIPE instead, which the writers handle. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
+
 let create ~hexpr_of_string ?idle_timeout ?(port = 0) pool =
   (match idle_timeout with
   | Some s when s <= 0. -> invalid_arg "Net.create: idle_timeout must be > 0"
   | _ -> ());
+  ignore_sigpipe ();
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -250,6 +257,7 @@ type driven = {
 
 let drive ?(host = "127.0.0.1") ~port ~hexpr_to_string
     (streams : Engine.request list array) =
+  ignore_sigpipe ();
   let inet =
     try Unix.inet_addr_of_string host
     with Failure _ -> (

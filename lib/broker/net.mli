@@ -52,7 +52,10 @@ val create :
     [err timeout] and closes them ([net.timeouts] counts the reaps) —
     without it, a client that connects and goes silent pins its
     server slot forever. Idleness is sampled by the select loop's 0.2s
-    tick, so reaping happens within a tick of the deadline. *)
+    tick, so reaping happens within a tick of the deadline.
+
+    Sets SIGPIPE to ignored for the whole process, so that a client
+    hanging up mid-reply costs only its own connection. *)
 
 val port : t -> int
 val pool : t -> Shard.t
@@ -82,7 +85,8 @@ val drive :
     few seconds — drivers routinely start right after the server
     process, before it binds. [host] may be an IP literal or a name.
     Returns the still-open connections and every (stream, request,
-    reply) in completion order. *)
+    reply) in completion order. Like {!create}, ignores SIGPIPE
+    process-wide: a server that hangs up surfaces as an exception. *)
 
 val shutdown_conns :
   (Unix.file_descr * in_channel * out_channel) array -> unit

@@ -53,22 +53,11 @@ let canonicalize m =
   m
 
 let compile c =
-  let key = if Store.attached () <> None then Some (Table.contract_key c) else None in
-  let from_store =
-    match key with None -> None | Some k -> Store.find k
-  in
-  match from_store with
-  | Some (lowered, minimized) -> Some (lowered, canonicalize minimized)
-  | None -> (
-      match Table.lower c with
-      | None -> None
-      | Some lowered ->
-          Atomic.incr lowerings;
-          let minimized = canonicalize (Minimize.minimize lowered) in
-          (match key with
-          | Some k -> Store.add k (lowered, minimized)
-          | None -> ());
-          Some (lowered, minimized))
+  match Table.lower c with
+  | None -> None
+  | Some lowered ->
+      Atomic.incr lowerings;
+      Some (lowered, canonicalize (Minimize.minimize lowered))
 
 let get c = Repr.Memo.find tables c ~compute:compile
 
@@ -87,21 +76,6 @@ let product_backend =
         | _ -> None);
   }
 
-let compliance_backend =
-  {
-    Core.Compliance.active;
-    compliant =
-      (fun client server ->
-        match (get client, get server) with
-        | Some (_, m1), Some (_, m2) -> Check.def4_compliant m1 m2
-        | _ -> None);
-  }
-
-let validity_backend =
-  { Core.Validity.Abstract.active; step = Policy_rows.step }
-
 let install () =
   Core.Product.set_backend (Some product_backend);
-  Core.Compliance.set_backend (Some compliance_backend);
-  Core.Validity.Abstract.set_backend (Some validity_backend);
   set_enabled true

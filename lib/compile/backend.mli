@@ -1,13 +1,14 @@
 (** Wiring: compile contracts on demand, share canonical minimized
-    tables, consult the persistent {!Store}, and install the compiled
-    paths behind the interpreted entry points of [Core].
+    tables, and install the compiled paths behind [Product.survey] and
+    [Product.compliant].
 
-    [core] cannot depend on this library (it would be a cycle), so the
-    hot entry points dispatch through backend records that executables
-    install once at startup via {!install}. Every backend function
-    returns an option: [None] means "fall back to the interpreted
-    path" — the compiled engine can decline (open contracts, oversized
-    pair spaces) but can never force a wrong verdict.
+    [core] cannot depend on this library (it would be a cycle), so
+    those entry points dispatch through a backend record that
+    executables install once at startup via {!install}. Every backend
+    function returns an option: [None] means "fall back to the
+    interpreted path" — the compiled engine can decline (open
+    contracts, oversized pair spaces) but can never force a wrong
+    verdict.
 
     Compiled tables are memoized per contract in a [Repr.Memo] named
     [compile.tables] (so [Repr.Cache.clear_all] and per-contract
@@ -17,9 +18,9 @@
     ([compile.minimize.shared] counts the coalesces). *)
 
 val install : unit -> unit
-(** Install the compiled backends into [Product], [Compliance] and
-    [Validity.Abstract] and enable them. Idempotent; call once at
-    executable startup, before any domains are spawned. *)
+(** Install the compiled backend into [Product] and enable it.
+    Idempotent; call once at executable startup, before any domains
+    are spawned. *)
 
 val set_enabled : bool -> unit
 (** Flip the compiled paths at runtime ([--compiled=no], tests and
@@ -28,10 +29,10 @@ val set_enabled : bool -> unit
 val enabled : unit -> bool
 
 val get : Core.Contract.t -> (Table.t * Table.t) option
-(** [(lowered, minimized)] for a closed contract, via memo, store and
-    compiler in that order; [None] for open contracts. *)
+(** [(lowered, minimized)] for a closed contract, via memo or compiler;
+    [None] for open contracts. *)
 
 val lower_count : unit -> int
-(** Process-wide count of actual lowerings performed (store hits and
-    memo hits don't count) — lets tests and benchmarks assert "warm
-    restart recompiled nothing" without scraping metrics. *)
+(** Process-wide count of actual lowerings performed (memo hits don't
+    count) — lets tests and benchmarks assert "recompiled nothing"
+    without scraping metrics. *)

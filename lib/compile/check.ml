@@ -1,9 +1,9 @@
 module Product = Core.Product
 open Table
 
-(* Dense pair arrays are allocated eagerly ([n1 * n2] slots); beyond
-   this many pairs the interpreted hashtable exploration is the better
-   representation, so the compiled path declines. *)
+(* The visited store spans all [n1 * n2] pairs; beyond this many the
+   interpreted hashtable exploration is the better representation, so
+   the compiled path declines. *)
 let pair_limit = 1 lsl 21
 
 let translation (t1 : Table.t) (t2 : Table.t) =
@@ -15,43 +15,94 @@ let translation (t1 : Table.t) (t2 : Table.t) =
 let complementary k1 k2 =
   match (k1, k2) with Kin, Kout | Kout, Kin -> true | _ -> false
 
-(* [Product.final_reason] on tables, preserving its probe order: first
-   client output (row order) missing from the server's inputs, then
-   first server output missing from the client's. *)
-let final_reason t1 t2 tr12 tr21 i j =
-  if t1.kind.(i) = Knil then None
-  else
-    let out1 = if t1.kind.(i) = Kout then t1.row_syms.(i) else [||] in
-    let out2 = if t2.kind.(j) = Kout then t2.row_syms.(j) else [||] in
-    if Array.length out1 = 0 && Array.length out2 = 0 then
-      Some Product.Client_waits_forever
-    else
-      let in2 sym = t2.kind.(j) = Kin && Table.step t2 j tr12.(sym) <> -1 in
-      let in1 sym = t1.kind.(i) = Kin && Table.step t1 i tr21.(sym) <> -1 in
-      let find row inx alpha =
-        let r = ref None in
-        Array.iter
-          (fun sym -> if !r = None && not (inx sym) then r := Some alpha.(sym))
-          row;
-        !r
-      in
-      let unmatched =
-        match find out1 in2 t1.alphabet with
-        | Some a -> Some a
-        | None -> find out2 in1 t2.alphabet
-      in
-      Option.map (fun a -> Product.Unmatched_output a) unmatched
+type pair = {
+  t1 : Table.t;
+  t2 : Table.t;
+  tr12 : int array;  (* client symbol -> server symbol, [-1] if none *)
+  tr21 : int array;
+}
 
-(* Synchronised successors in [Compliance.sync_successors] order: the
-   client row drives (outer loop of the interpreted version) and the
-   deterministic server answers at most once per channel. *)
-let successors t1 t2 tr12 i j k =
-  if complementary t1.kind.(i) t2.kind.(j) then
-    Array.iteri
-      (fun idx sym ->
-        let j' = Table.step t2 j tr12.(sym) in
-        if j' <> -1 then k sym t1.row_tgts.(i).(idx) j')
-      t1.row_syms.(i)
+(* The exploration kernel on table pairs: state [i * n2 + j] is the
+   pair of client state [i] and server state [j]; a synchronisation is
+   tagged with the client's symbol. *)
+module Pairs = Core.Explore.Make (struct
+  type ctx = pair
+  type state = int
+  type label = int
+  type reason = Product.stuck_reason
+
+  (* A sparse set: [slot] keeps each reached pair's discovery number
+     in 4 bytes, [pairs] lists the reached pairs by number. [slot] is
+     left uninitialised, and a slot counts only when [pairs] points
+     back at it, so no pass pays to initialise the pairs it never
+     reaches — most of [n1 * n2] on narrow contracts. *)
+  type index = { slot : Bytes.t; mutable pairs : int array; mutable reached : int }
+
+  let index c =
+    {
+      slot = Bytes.create (4 * c.t1.states * c.t2.states);
+      pairs = Array.make 16 0;
+      reached = 0;
+    }
+
+  let find ix p =
+    let k = Int32.to_int (Bytes.get_int32_le ix.slot (4 * p)) in
+    if k >= 0 && k < ix.reached && ix.pairs.(k) = p then k else -1
+
+  (* the kernel numbers pairs 0, 1, 2, ... *)
+  let add ix p k =
+    Bytes.set_int32_le ix.slot (4 * p) (Int32.of_int k);
+    if k = Array.length ix.pairs then begin
+      let pairs = Array.make (2 * k) 0 in
+      Array.blit ix.pairs 0 pairs 0 k;
+      ix.pairs <- pairs
+    end;
+    ix.pairs.(k) <- p;
+    ix.reached <- k + 1
+  let root _ = 0
+  let client_terminated c p = c.t1.kind.(p / c.t2.states) = Knil
+
+  (* [Product.final_reason] on tables, preserving its probe order:
+     first client output (row order) missing from the server's inputs,
+     then first server output missing from the client's. *)
+  let final_reason { t1; t2; tr12; tr21 } p =
+    let i = p / t2.states and j = p mod t2.states in
+    if t1.kind.(i) = Knil then None
+    else
+      let out1 = if t1.kind.(i) = Kout then t1.row_syms.(i) else [||] in
+      let out2 = if t2.kind.(j) = Kout then t2.row_syms.(j) else [||] in
+      if Array.length out1 = 0 && Array.length out2 = 0 then
+        Some Product.Client_waits_forever
+      else
+        let in2 sym = t2.kind.(j) = Kin && Table.step t2 j tr12.(sym) <> -1 in
+        let in1 sym = t1.kind.(i) = Kin && Table.step t1 i tr21.(sym) <> -1 in
+        let first_missing row inx alpha =
+          Array.find_opt (fun sym -> not (inx sym)) row
+          |> Option.map (fun sym -> alpha.(sym))
+        in
+        let unmatched =
+          match first_missing out1 in2 t1.alphabet with
+          | Some a -> Some a
+          | None -> first_missing out2 in1 t2.alphabet
+        in
+        Option.map (fun a -> Product.Unmatched_output a) unmatched
+
+  (* [Compliance.sync_successors] order: the client row drives and the
+     deterministic server answers at most once per channel. *)
+  let iter_successors { t1; t2; tr12; _ } p k =
+    let n2 = t2.states in
+    let i = p / n2 and j = p mod n2 in
+    if complementary t1.kind.(i) t2.kind.(j) then
+      Array.iteri
+        (fun idx sym ->
+          let j' = Table.step t2 j tr12.(sym) in
+          if j' <> -1 then k sym ((t1.row_tgts.(i).(idx) * n2) + j'))
+        t1.row_syms.(i)
+end)
+
+let pair t1 t2 =
+  if t1.states * t2.states > pair_limit then None
+  else Some { t1; t2; tr12 = translation t1 t2; tr21 = translation t2 t1 }
 
 (* Replay a synchronisation path on the hash-consed contracts to
    recover the stuck pair for diagnostics (tables carry no contract
@@ -67,179 +118,25 @@ let replay_path c1 c2 syms =
             (Core.Compliance.sync_successors x y))
     (Some (c1, c2)) syms
 
-let survey (t1 : Table.t) (t2 : Table.t) ~c1 ~c2 =
-  let n1 = t1.states and n2 = t2.states in
-  if n1 * n2 > pair_limit then None
-  else begin
-    let tr12 = translation t1 t2 and tr21 = translation t2 t1 in
-    let npairs = n1 * n2 in
-    (* parent_p: -1 unvisited, -2 root, else predecessor pair id *)
-    let parent_p = Array.make npairs (-1) in
-    let parent_sym = Array.make npairs (-1) in
-    let succs = Array.make npairs [||] in
-    let q = Queue.create () in
-    parent_p.(0) <- -2;
-    Queue.add 0 q;
-    let stuck = ref 0 and first = ref None and terminated = ref false in
-    let path_syms p =
-      let rec go p acc =
-        if parent_p.(p) = -2 then acc
-        else go parent_p.(p) (t1.alphabet.(parent_sym.(p)) :: acc)
+let survey t1 t2 ~c1 ~c2 =
+  Option.map
+    (fun ctx ->
+      let s = Pairs.survey ctx in
+      let counterexample { Pairs.path; reason; _ } =
+        let syms = List.map (fun sym -> t1.alphabet.(sym)) path in
+        match replay_path c1 c2 syms with
+        | Some stuck -> Some { Product.synchronisations = syms; stuck; reason }
+        | None ->
+            (* can't happen for tables lowered from [c1]/[c2]; the
+               interpreted search returns the same counterexample *)
+            Product.counterexample c1 c2
       in
-      go p []
-    in
-    while not (Queue.is_empty q) do
-      let p = Queue.pop q in
-      let i = p / n2 and j = p mod n2 in
-      match final_reason t1 t2 tr12 tr21 i j with
-      | Some reason ->
-          incr stuck;
-          if !first = None then begin
-            let syms = path_syms p in
-            let ce =
-              match replay_path c1 c2 syms with
-              | Some stuck_pair ->
-                  Some
-                    {
-                      Product.synchronisations = syms;
-                      stuck = stuck_pair;
-                      reason;
-                    }
-              | None ->
-                  (* can't happen for tables lowered from [c1]/[c2];
-                     the interpreted shortest-path search returns the
-                     same counterexample *)
-                  Product.counterexample c1 c2
-            in
-            first := ce
-          end
-      | None ->
-          if t1.kind.(i) = Knil then terminated := true;
-          let buf = ref [] in
-          successors t1 t2 tr12 i j (fun sym i' j' ->
-              let p' = (i' * n2) + j' in
-              buf := (sym, p') :: !buf;
-              if parent_p.(p') = -1 then begin
-                parent_p.(p') <- p;
-                parent_sym.(p') <- sym;
-                Queue.add p' q
-              end);
-          succs.(p) <- Array.of_list (List.rev_map snd !buf)
-    done;
-    let has_cycle () =
-      (* mirrors the interpreted three-colour walk (1 grey, 2 black) *)
-      let color = Bytes.make npairs '\000' in
-      let cyc = ref false in
-      let rec walk = function
-        | [] -> ()
-        | `Enter p :: rest ->
-            if Bytes.get color p <> '\000' then walk rest
-            else begin
-              Bytes.set color p '\001';
-              let enters =
-                Array.to_list succs.(p)
-                |> List.filter_map (fun s ->
-                       match Bytes.get color s with
-                       | '\001' ->
-                           cyc := true;
-                           None
-                       | '\002' -> None
-                       | _ -> Some (`Enter s))
-              in
-              walk (enters @ (`Exit p :: rest))
-            end
-        | `Exit p :: rest ->
-            Bytes.set color p '\002';
-            walk rest
-      in
-      walk [ `Enter 0 ];
-      !cyc
-    in
-    Some
       {
-        Product.stuck_states = !stuck;
-        successful = !terminated || has_cycle ();
-        first_counterexample = !first;
-      }
-  end
+        Product.stuck_states = s.Pairs.stuck_states;
+        successful = s.Pairs.successful;
+        first_counterexample = Option.bind s.Pairs.first_stuck counterexample;
+      })
+    (pair t1 t2)
 
-let product_compliant (t1 : Table.t) (t2 : Table.t) =
-  let n1 = t1.states and n2 = t2.states in
-  if n1 * n2 > pair_limit then None
-  else begin
-    let tr12 = translation t1 t2 and tr21 = translation t2 t1 in
-    let visited = Bytes.make (n1 * n2) '\000' in
-    Bytes.set visited 0 '\001';
-    let q = Queue.create () in
-    Queue.add 0 q;
-    let ok = ref true in
-    while !ok && not (Queue.is_empty q) do
-      let p = Queue.pop q in
-      let i = p / n2 and j = p mod n2 in
-      match final_reason t1 t2 tr12 tr21 i j with
-      | Some _ -> ok := false
-      | None ->
-          successors t1 t2 tr12 i j (fun _ i' j' ->
-              let p' = (i' * n2) + j' in
-              if Bytes.get visited p' = '\000' then begin
-                Bytes.set visited p' '\001';
-                Queue.add p' q
-              end)
-    done;
-    Some !ok
-  end
-
-(* Condition (1) of Definition 4 on table states: client ready sets
-   against co-images of server ready sets, as translated bitset
-   intersections. Directions are per-state kinds, so the co-image test
-   degenerates to a complementarity check. *)
-let translated_inter tr cset sset =
-  let found = ref false in
-  Bitset.iter
-    (fun s ->
-      if not !found then
-        let s2 = tr.(s) in
-        if s2 >= 0 && Bitset.mem sset s2 then found := true)
-    cset;
-  !found
-
-let locally_ok (t1 : Table.t) (t2 : Table.t) tr12 i j =
-  match t1.kind.(i) with
-  | Knil | Kinert -> true
-  | k1 -> (
-      match t2.kind.(j) with
-      | Knil | Kinert -> false
-      | k2 ->
-          complementary k1 k2
-          && List.for_all
-               (fun cset ->
-                 List.for_all
-                   (fun sset -> translated_inter tr12 cset sset)
-                   (Table.ready_sets t2 j))
-               (Table.ready_sets t1 i))
-
-let def4_compliant (t1 : Table.t) (t2 : Table.t) =
-  let n1 = t1.states and n2 = t2.states in
-  if n1 * n2 > pair_limit then None
-  else begin
-    let tr12 = translation t1 t2 in
-    let visited = Bytes.make (n1 * n2) '\000' in
-    Bytes.set visited 0 '\001';
-    let rec explore = function
-      | [] -> true
-      | p :: rest ->
-          Obs.Metrics.incr "compliance.pairs_explored";
-          let i = p / n2 and j = p mod n2 in
-          locally_ok t1 t2 tr12 i j
-          &&
-          let fresh = ref [] in
-          successors t1 t2 tr12 i j (fun _ i' j' ->
-              let p' = (i' * n2) + j' in
-              if Bytes.get visited p' = '\000' then begin
-                Bytes.set visited p' '\001';
-                fresh := p' :: !fresh
-              end);
-          explore (List.rev_append !fresh rest)
-    in
-    Some (explore [ 0 ])
-  end
+let product_compliant t1 t2 =
+  Option.map (fun ctx -> Pairs.first_stuck ctx = None) (pair t1 t2)

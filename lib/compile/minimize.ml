@@ -116,7 +116,6 @@ let refine (t : Table.t) =
   block_of
 
 let minimize (t : Table.t) =
-  let t0 = Sys.time () in
   let n = t.Table.states in
   let nsyms = Table.nsyms t in
   let block_of = refine t in
@@ -173,8 +172,6 @@ let minimize (t : Table.t) =
   Obs.Metrics.incr "compile.minimizations";
   Obs.Metrics.add "compile.minimize.states_before" n;
   Obs.Metrics.add "compile.minimize.states_after" states;
-  Obs.Metrics.add "compile.minimize.time_us"
-    (int_of_float ((Sys.time () -. t0) *. 1e6));
   m
 
 let bisimilar (t1 : Table.t) (t2 : Table.t) =

@@ -7,20 +7,20 @@
     bisimulation. The quotient is renumbered canonically — alphabet
     sorted, states in BFS order over sorted symbols — so any two
     language-equivalent contracts minimize to byte-identical tables
-    ({!Table.encode}) and can share one table in the store.
+    ({!Table.encode}) and can share one table in memory.
 
-    Soundness boundary: minimization preserves every {e boolean}
-    verdict the backend computes on tables (strict compliance,
-    product-language emptiness: both depend only on per-state kind and
-    symbol sets, which are constant on blocks) but {e not} the
+    Soundness boundary: minimization preserves the {e boolean} verdict
+    the backend computes on minimized tables (product-language
+    emptiness, which depends only on per-state kind and symbol sets,
+    constant on blocks) but {e not} the
     stuck-state {e count} of [Product.survey] — merging equivalent
     states can merge distinct stuck configurations. Surveys therefore
     always run on the unminimized lowered table. *)
 
 val minimize : Table.t -> Table.t
 (** Increments [compile.minimizations],
-    [compile.minimize.states_before], [compile.minimize.states_after]
-    and [compile.minimize.time_us]. Idempotent: minimizing a minimized
+    [compile.minimize.states_before] and
+    [compile.minimize.states_after]. Idempotent: minimizing a minimized
     table returns a byte-identical encoding. *)
 
 val bisimilar : Table.t -> Table.t -> bool

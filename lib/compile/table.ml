@@ -10,8 +10,6 @@ type t = {
   row_syms : int array array;
   row_tgts : int array array;
   delta : int array;
-  ready : Bitset.t array;
-  ready_off : int array;
 }
 
 let nsyms t = Array.length t.alphabet
@@ -19,17 +17,11 @@ let nsyms t = Array.length t.alphabet
 let step t s sym =
   if sym < 0 then -1 else t.delta.((s * Array.length t.alphabet) + sym)
 
-let ready_sets t s =
-  let lo = t.ready_off.(s) and hi = t.ready_off.(s + 1) in
-  let rec go i acc = if i < lo then acc else go (i - 1) (t.ready.(i) :: acc) in
-  go (hi - 1) []
-
 (* ---- escaping ---------------------------------------------------------
 
-   Channel names come from identifiers, but the codec must be total:
-   any byte outside [A-Za-z0-9_.] is %XX-escaped, so names can never
-   collide with the codec's own separators or the store's field
-   syntax. *)
+   Channel names come from identifiers, but the encoding must be
+   injective: any byte outside [A-Za-z0-9_.] is %XX-escaped, so names
+   can never collide with the encoding's own separators. *)
 
 let plain c =
   (c >= 'a' && c <= 'z')
@@ -48,47 +40,6 @@ let esc s =
       s;
     Buffer.contents b
   end
-
-let unesc s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i >= n then Ok (Buffer.contents b)
-    else if s.[i] <> '%' then begin
-      Buffer.add_char b s.[i];
-      go (i + 1)
-    end
-    else if i + 2 >= n then Error "truncated escape"
-    else
-      match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-      | Some code when code >= 0 && code < 256 ->
-          Buffer.add_char b (Char.chr code);
-          go (i + 3)
-      | _ -> Error "bad escape"
-  in
-  go 0
-
-(* ---- the stable store key --------------------------------------------- *)
-
-let rec contract_key c =
-  match Contract.node c with
-  | Contract.Nil -> "n"
-  | Contract.Var x -> "v" ^ esc x ^ ";"
-  | Contract.Mu (x, b) -> "m" ^ esc x ^ ";" ^ contract_key b
-  | Contract.Ext bs -> "e(" ^ branches_key bs ^ ")"
-  | Contract.Int bs -> "i(" ^ branches_key bs ^ ")"
-  | Contract.Seq (a, b) -> "s(" ^ contract_key a ^ "," ^ contract_key b ^ ")"
-
-and branches_key bs =
-  String.concat ","
-    (List.map (fun (a, k) -> esc a ^ ":" ^ contract_key k) bs)
-
-let fnv32 s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff)
-    s;
-  !h
 
 (* ---- lowering --------------------------------------------------------- *)
 
@@ -111,29 +62,6 @@ let kind_of c trans =
         else if d = Contract.I then Kin
         else Kout
 
-let derive_ready ~nsyms ~kind ~row_syms =
-  let states = Array.length kind in
-  let off = Array.make (states + 1) 0 in
-  let count s =
-    match kind.(s) with Knil | Kinert | Kin -> 1 | Kout -> Array.length row_syms.(s)
-  in
-  for s = 0 to states - 1 do
-    off.(s + 1) <- off.(s) + count s
-  done;
-  let ready = Array.init off.(states) (fun _ -> Bitset.create nsyms) in
-  for s = 0 to states - 1 do
-    match kind.(s) with
-    | Knil | Kinert -> ()
-    | Kin ->
-        let set = ready.(off.(s)) in
-        Array.iter (Bitset.set set) row_syms.(s)
-    | Kout ->
-        Array.iteri
-          (fun i sym -> Bitset.set ready.(off.(s) + i) sym)
-          row_syms.(s)
-  done;
-  (ready, off)
-
 let build ~alphabet ~kind ~row_syms ~row_tgts =
   let states = Array.length kind in
   let nsyms = Array.length alphabet in
@@ -148,8 +76,7 @@ let build ~alphabet ~kind ~row_syms ~row_tgts =
           delta.((s * nsyms) + sym) <- row_tgts.(s).(i))
         syms)
     row_syms;
-  let ready, ready_off = derive_ready ~nsyms ~kind ~row_syms in
-  { states; alphabet; index; kind; row_syms; row_tgts; delta; ready; ready_off }
+  { states; alphabet; index; kind; row_syms; row_tgts; delta }
 
 let lower_exn c0 =
   let idx = Hashtbl.create 64 in
@@ -211,33 +138,23 @@ let unsafe_build ~alphabet ~kind ~row_syms ~row_tgts =
 
 let lower c0 =
   if Contract.free_vars c0 <> [] then None
-  else begin
-    let t0 = Sys.time () in
+  else
     match lower_exn c0 with
     | t ->
         Obs.Metrics.incr "compile.lowerings";
         Obs.Metrics.add "compile.lower.states" t.states;
-        Obs.Metrics.add "compile.lower.time_us"
-          (int_of_float ((Sys.time () -. t0) *. 1e6));
         Some t
     | exception Unlowerable -> None
-  end
 
-(* ---- codec ------------------------------------------------------------
+(* ---- canonical encoding -----------------------------------------------
 
-   One line, no spaces:  [STATES;ALPHA;KINDS;ROWS]  with ALPHA the
-   comma-separated escaped symbols ([-] when empty), KINDS one
-   character per state (n/v/i/o) and ROWS the [|]-separated per-state
-   [sym:tgt] comma lists, in row order. *)
+   The key minimized tables are shared under. One line, no spaces:
+   [STATES;ALPHA;KINDS;ROWS] with ALPHA the comma-separated escaped
+   symbols ([-] when empty), KINDS one character per state (n/v/i/o)
+   and ROWS the [|]-separated per-state [sym:tgt] comma lists, in row
+   order. *)
 
 let kind_char = function Knil -> 'n' | Kinert -> 'v' | Kin -> 'i' | Kout -> 'o'
-
-let kind_of_char = function
-  | 'n' -> Some Knil
-  | 'v' -> Some Kinert
-  | 'i' -> Some Kin
-  | 'o' -> Some Kout
-  | _ -> None
 
 let encode t =
   let b = Buffer.create 256 in
@@ -264,121 +181,3 @@ let encode t =
       t.row_syms.(s)
   done;
   Buffer.contents b
-
-let ( let* ) = Result.bind
-
-let int_field what s =
-  match int_of_string_opt s with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "bad %s %S" what s)
-
-let decode line =
-  match String.split_on_char ';' line with
-  | [ states_s; alpha_s; kinds_s; rows_s ] ->
-      let* states = int_field "state count" states_s in
-      if states < 1 || states > state_limit then
-        Error (Printf.sprintf "state count %d out of range" states)
-      else
-        let* alphabet =
-          if alpha_s = "-" then Ok [||]
-          else
-            let rec go acc = function
-              | [] -> Ok (Array.of_list (List.rev acc))
-              | a :: rest -> (
-                  match unesc a with
-                  | Ok "" -> Error "empty symbol"
-                  | Ok a -> go (a :: acc) rest
-                  | Error e -> Error e)
-            in
-            go [] (String.split_on_char ',' alpha_s)
-        in
-        let nsyms = Array.length alphabet in
-        if
-          Array.length
-            (Array.of_seq
-               (Hashtbl.to_seq_keys
-                  (let h = Hashtbl.create 16 in
-                   Array.iter (fun a -> Hashtbl.replace h a ()) alphabet;
-                   h)))
-          <> nsyms
-        then Error "duplicate symbol in alphabet"
-        else if String.length kinds_s <> states then
-          Error
-            (Printf.sprintf "kind string has %d entries for %d states"
-               (String.length kinds_s) states)
-        else
-          let* kind =
-            let arr = Array.make states Knil in
-            let rec go i =
-              if i = states then Ok arr
-              else
-                match kind_of_char kinds_s.[i] with
-                | Some k ->
-                    arr.(i) <- k;
-                    go (i + 1)
-                | None ->
-                    Error (Printf.sprintf "bad kind %C" kinds_s.[i])
-            in
-            go 0
-          in
-          let row_fields = String.split_on_char '|' rows_s in
-          if List.length row_fields <> states then
-            Error
-              (Printf.sprintf "%d rows for %d states"
-                 (List.length row_fields) states)
-          else
-            let row_syms = Array.make states [||]
-            and row_tgts = Array.make states [||] in
-            let parse_row s field =
-              if field = "" then Ok ()
-              else
-                let cells = String.split_on_char ',' field in
-                let rec go syms tgts = function
-                  | [] ->
-                      row_syms.(s) <- Array.of_list (List.rev syms);
-                      row_tgts.(s) <- Array.of_list (List.rev tgts);
-                      Ok ()
-                  | cell :: rest -> (
-                      match String.index_opt cell ':' with
-                      | None -> Error (Printf.sprintf "bad cell %S" cell)
-                      | Some i ->
-                          let* sym =
-                            int_field "symbol" (String.sub cell 0 i)
-                          in
-                          let* tgt =
-                            int_field "target"
-                              (String.sub cell (i + 1)
-                                 (String.length cell - i - 1))
-                          in
-                          if sym < 0 || sym >= nsyms then
-                            Error (Printf.sprintf "symbol %d out of range" sym)
-                          else if tgt < 0 || tgt >= states then
-                            Error (Printf.sprintf "target %d out of range" tgt)
-                          else go (sym :: syms) (tgt :: tgts) rest)
-                in
-                go [] [] cells
-            in
-            let rec rows s = function
-              | [] -> Ok ()
-              | field :: rest ->
-                  let* () = parse_row s field in
-                  rows (s + 1) rest
-            in
-            let* () = rows 0 row_fields in
-            let rec consistent s =
-              if s = states then Ok ()
-              else
-                let empty = Array.length row_syms.(s) = 0 in
-                match kind.(s) with
-                | (Knil | Kinert) when not empty ->
-                    Error (Printf.sprintf "state %d: transitions on a %s state"
-                             s (if kind.(s) = Knil then "nil" else "inert"))
-                | (Kin | Kout) when empty ->
-                    Error (Printf.sprintf "state %d: choice state with no row" s)
-                | _ -> consistent (s + 1)
-            in
-            let* () = consistent 0 in
-            (match build ~alphabet ~kind ~row_syms ~row_tgts with
-            | t -> Ok t
-            | exception Unlowerable -> Error "duplicate symbol in a row")
-  | _ -> Error "malformed table (want STATES;ALPHA;KINDS;ROWS)"

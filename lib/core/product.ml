@@ -90,7 +90,6 @@ let build c1 c2 =
   }
 
 let language_empty t = t.finals = []
-let compliant_interpreted c1 c2 = language_empty (build c1 c2)
 
 type counterexample = {
   synchronisations : string list;
@@ -98,129 +97,51 @@ type counterexample = {
   reason : stuck_reason;
 }
 
-let counterexample c1 c2 =
-  (* BFS over the product, recording parents, stopping at the first
-     (hence shortest) stuck state. *)
-  Obs.Trace.with_span "product.counterexample" @@ fun () ->
-  Obs.Metrics.incr "product.counterexample_searches";
-  let initial = (c1, c2) in
-  let parent = Repr.Key.Pair_tbl.create 64 in
-  Repr.Key.Pair_tbl.replace parent (key initial) None;
-  let q = Queue.create () in
-  Queue.add initial q;
-  let rec path_of p acc =
-    match Repr.Key.Pair_tbl.find parent (key p) with
-    | None -> acc
-    | Some (a, pred) -> path_of pred (a :: acc)
-  in
-  let rec bfs () =
-    if Queue.is_empty q then None
-    else
-      let p = Queue.pop q in
-      match final_reason p with
-      | Some reason ->
-          Some { synchronisations = path_of p []; stuck = p; reason }
-      | None ->
-          List.iter
-            (fun (a, succ) ->
-              if not (Repr.Key.Pair_tbl.mem parent (key succ)) then begin
-                Repr.Key.Pair_tbl.replace parent (key succ) (Some (a, p));
-                Queue.add succ q
-              end)
-            (successors p);
-          bfs ()
-  in
-  bfs ()
-
-(* ---- the level survey ------------------------------------------------- *)
-
 type survey = {
   stuck_states : int;
   successful : bool;
   first_counterexample : counterexample option;
 }
 
-(* One reachability pass computing everything every compliance level
-   needs: the number of distinct stuck configurations, whether some
-   maximal execution avoids them all, and the shortest counterexample
-   (BFS order) for diagnostics. [successful] holds iff a client-
-   terminated configuration is reachable or the reachable product
-   contains a cycle — final states have no outgoing transitions, so any
-   cycle is a live loop, and a maximal path is exactly one that ends
-   client-terminated, ends stuck, or loops forever. *)
+(* The exploration kernel on hash-consed pairs, visited set keyed on
+   id pairs: O(1) probes. *)
+module Pairs = Explore.Make (struct
+  type ctx = state
+  type nonrec state = state
+  type label = string
+  type reason = stuck_reason
+  type index = int Repr.Key.Pair_tbl.t
+
+  let index _ = Repr.Key.Pair_tbl.create 64
+
+  let find index p =
+    Option.value (Repr.Key.Pair_tbl.find_opt index (key p)) ~default:(-1)
+
+  let add index p k = Repr.Key.Pair_tbl.replace index (key p) k
+  let root p = p
+  let final_reason _ p = final_reason p
+  let client_terminated _ (h1, _) = Contract.is_terminated h1
+
+  let iter_successors _ p f =
+    List.iter (fun (a, q) -> f a q) (successors p)
+end)
+
+let of_stuck { Pairs.path; state; reason } =
+  { synchronisations = path; stuck = state; reason }
+
+let compliant_interpreted c1 c2 = Pairs.first_stuck (c1, c2) = None
+
+let counterexample c1 c2 =
+  Obs.Trace.with_span "product.counterexample" @@ fun () ->
+  Obs.Metrics.incr "product.counterexample_searches";
+  Option.map of_stuck (Pairs.first_stuck (c1, c2))
+
 let survey_interpreted c1 c2 =
-  let initial = (c1, c2) in
-  let parent = Repr.Key.Pair_tbl.create 64 in
-  Repr.Key.Pair_tbl.replace parent (key initial) None;
-  let succs_of = Repr.Key.Pair_tbl.create 64 in
-  let q = Queue.create () in
-  Queue.add initial q;
-  let stuck = ref 0 and first = ref None and terminated = ref false in
-  let rec path_of p acc =
-    match Repr.Key.Pair_tbl.find parent (key p) with
-    | None -> acc
-    | Some (a, pred) -> path_of pred (a :: acc)
-  in
-  while not (Queue.is_empty q) do
-    let p = Queue.pop q in
-    match final_reason p with
-    | Some reason ->
-        incr stuck;
-        if !first = None then
-          first := Some { synchronisations = path_of p []; stuck = p; reason };
-        Repr.Key.Pair_tbl.replace succs_of (key p) []
-    | None ->
-        if Contract.is_terminated (fst p) then terminated := true;
-        let ss = successors p in
-        Repr.Key.Pair_tbl.replace succs_of (key p) (List.map snd ss);
-        List.iter
-          (fun (a, succ) ->
-            if not (Repr.Key.Pair_tbl.mem parent (key succ)) then begin
-              Repr.Key.Pair_tbl.replace parent (key succ) (Some (a, p));
-              Queue.add succ q
-            end)
-          ss
-  done;
-  let has_cycle () =
-    (* iterative three-colour DFS (1 = on path, 2 = done); a grey
-       successor is a back edge, hence a live loop *)
-    let color = Repr.Key.Pair_tbl.create 64 in
-    let cyc = ref false in
-    let rec walk = function
-      | [] -> ()
-      | `Enter p :: rest -> (
-          match Repr.Key.Pair_tbl.find_opt color (key p) with
-          | Some _ -> walk rest
-          | None ->
-              Repr.Key.Pair_tbl.replace color (key p) 1;
-              let ss =
-                Option.value
-                  (Repr.Key.Pair_tbl.find_opt succs_of (key p))
-                  ~default:[]
-              in
-              let enters =
-                List.filter_map
-                  (fun s ->
-                    match Repr.Key.Pair_tbl.find_opt color (key s) with
-                    | Some 1 ->
-                        cyc := true;
-                        None
-                    | Some _ -> None
-                    | None -> Some (`Enter s))
-                  ss
-              in
-              walk (enters @ (`Exit p :: rest)))
-      | `Exit p :: rest ->
-          Repr.Key.Pair_tbl.replace color (key p) 2;
-          walk rest
-    in
-    walk [ `Enter initial ];
-    !cyc
-  in
+  let s = Pairs.survey (c1, c2) in
   {
-    stuck_states = !stuck;
-    successful = !terminated || has_cycle ();
-    first_counterexample = !first;
+    stuck_states = s.Pairs.stuck_states;
+    successful = s.Pairs.successful;
+    first_counterexample = Option.map of_stuck s.Pairs.first_stuck;
   }
 
 (* ---- compiled backend dispatch ---------------------------------------- *)

@@ -6,7 +6,11 @@
     Final states of the product are exactly the {e stuck} configurations;
     because the finality predicate inspects a single state (conditions
     (i) and (ii)), compliance is an invariant — hence a safety — property
-    (Theorem 2, Corollary 1). *)
+    (Theorem 2, Corollary 1).
+
+    {!compliant}, {!counterexample} and {!survey} are one exploration,
+    {!Explore}, instantiated on hash-consed contract pairs; the
+    compiled backend instantiates the same kernel on dense tables. *)
 
 type state = Contract.t * Contract.t
 
@@ -41,8 +45,9 @@ val compliant : Contract.t -> Contract.t -> bool
     backend when one is installed and active. *)
 
 val compliant_interpreted : Contract.t -> Contract.t -> bool
-(** The interpreted decision procedure, never dispatched — the oracle
-    the compiled path is tested against. *)
+(** The interpreted decision procedure (the kernel's early-exit pass),
+    never dispatched — the oracle the compiled path is tested
+    against. *)
 
 type counterexample = {
   synchronisations : string list;
@@ -52,7 +57,9 @@ type counterexample = {
 }
 
 val counterexample : Contract.t -> Contract.t -> counterexample option
-(** A shortest path into [F], if the contracts are not compliant. *)
+(** A shortest path into [F], if the contracts are not compliant: the
+    kernel's early-exit pass, always interpreted. It equals
+    [(survey c1 c2).first_counterexample]. *)
 
 (** {1 The level survey} *)
 

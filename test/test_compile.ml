@@ -1,7 +1,6 @@
 (* The compiled engine against its interpreted oracles: byte-identical
    verdicts for Product.survey / admits / compliance / Netcheck at every
-   level, minimization preserves the language, and the on-disk table
-   cache refuses damage and never changes an answer. *)
+   level, and minimization preserves the language. *)
 
 open Core
 
@@ -43,37 +42,10 @@ let test_lower_shapes () =
   let t = Option.get (Compile.Table.lower sel) in
   Alcotest.(check bool) "select outputs" true
     (t.Compile.Table.kind.(0) = Compile.Table.Kout);
-  Alcotest.(check int) "two ready singletons" 2
-    (List.length (Compile.Table.ready_sets t 0));
+  Alcotest.(check int) "two branches" 2
+    (Array.length t.Compile.Table.row_syms.(0));
   Alcotest.(check (option reject)) "open contracts do not lower" None
     (Option.map ignore (Compile.Table.lower (Contract.var "x")))
-
-let names_of_bitset (t : Compile.Table.t) b =
-  Compile.Bitset.to_list b
-  |> List.map (fun s -> t.Compile.Table.alphabet.(s))
-  |> List.sort String.compare
-
-let names_of_ready_set s =
-  Ready.Set.elements s
-  |> List.map (fun c -> snd (c : Ready.Comm.t :> Contract.dir * string))
-  |> List.sort String.compare
-
-let prop_ready_sets_agree =
-  prop "lowered ready sets = Ready.ready_sets (as name sets)" 300
-    Testkit.Generators.contract_arb (fun c ->
-      match Compile.Table.lower c with
-      | None -> QCheck.assume_fail ()
-      | Some t ->
-          let compiled =
-            Compile.Table.ready_sets t 0
-            |> List.map (names_of_bitset t)
-            |> List.sort compare
-          in
-          let interpreted =
-            Ready.ready_sets c |> List.map names_of_ready_set
-            |> List.sort compare
-          in
-          compiled = interpreted)
 
 (* --- compiled vs interpreted verdicts ---------------------------------- *)
 
@@ -97,33 +69,11 @@ let prop_admits_identical =
         (fun l -> Product.admits l compiled = Product.admits l interpreted)
         levels)
 
-let prop_compliance_identical =
-  prop "Compliance.compliant compiled = interpreted" 400 pair_arb
-    (fun (c1, c2) ->
-      with_compiled true (fun () -> Compliance.compliant c1 c2)
-      = Compliance.compliant_interpreted c1 c2)
-
 let prop_product_compliant_identical =
   prop "Product.compliant compiled = interpreted" 400 pair_arb
     (fun (c1, c2) ->
       with_compiled true (fun () -> Product.compliant c1 c2)
       = Product.compliant_interpreted c1 c2)
-
-let render_check_expr = function
-  | Ok () -> "ok"
-  | Error v -> Fmt.str "%a" Validity.pp_violation v
-
-let prop_check_expr_identical =
-  prop "Validity.check_expr compiled = interpreted (rendered)" 200
-    Testkit.Generators.hexpr_arb (fun h ->
-      let compiled =
-        with_compiled true (fun () -> render_check_expr (Validity.check_expr h))
-      in
-      let interpreted =
-        with_compiled false (fun () ->
-            render_check_expr (Validity.check_expr h))
-      in
-      String.equal compiled interpreted)
 
 (* --- the scenario sweep: rendered planner reports at every level ------- *)
 
@@ -193,17 +143,6 @@ let prop_minimize_idempotent =
           String.equal (Compile.Table.encode m)
             (Compile.Table.encode (Compile.Minimize.minimize m)))
 
-let prop_encode_roundtrip =
-  prop "decode o encode is the identity (re-encoded)" 300
-    Testkit.Generators.contract_arb (fun c ->
-      match Compile.Table.lower c with
-      | None -> QCheck.assume_fail ()
-      | Some t -> (
-          let s = Compile.Table.encode t in
-          match Compile.Table.decode s with
-          | Error e -> QCheck.Test.fail_report e
-          | Ok t' -> String.equal s (Compile.Table.encode t')))
-
 let test_equivalent_contracts_share_table () =
   (* μh.a!.h and μh.a!.a!.h emit the same infinite stream: minimization
      must canonicalize both to the same (physically shared) table *)
@@ -224,162 +163,16 @@ let test_equivalent_contracts_share_table () =
       Alcotest.(check bool) "one shared table" true (m1 == m2)
   | _ -> Alcotest.fail "streams must lower"
 
-(* --- the persistent store ---------------------------------------------- *)
-
-let store_contracts =
-  lazy
-    (List.map Contract.project
-       [
-         Scenarios.Hotel.broker;
-         Scenarios.Hotel.s1;
-         Scenarios.Hotel.s2;
-         Scenarios.Hotel.broker_request_body;
-       ])
-
-let with_store_file f =
-  let file = Filename.temp_file "susf-tables" ".susfc" in
-  Sys.remove file;
-  Fun.protect
-    ~finally:(fun () ->
-      Compile.Store.detach ();
-      if Sys.file_exists file then Sys.remove file;
-      if Sys.file_exists (file ^ ".tmp") then Sys.remove (file ^ ".tmp"))
-    (fun () -> f file)
-
-let populate file =
-  (match Compile.Store.attach file with
-  | Ok 0 -> ()
-  | Ok n -> Alcotest.failf "fresh cache claims %d entries" n
-  | Error e -> Alcotest.fail e);
-  (* earlier tests may have memoized these contracts with no store
-     attached; drop the memo so compilation runs (and records) again *)
-  Repr.Cache.clear_all ();
-  List.iter
-    (fun c -> ignore (Compile.Backend.get c))
-    (Lazy.force store_contracts);
-  match Compile.Store.save () with
-  | Ok n ->
-      Alcotest.(check bool) "entries saved" true (n > 0);
-      Alcotest.(check bool) "no tmp residue" false
-        (Sys.file_exists (file ^ ".tmp"));
-      n
-  | Error e -> Alcotest.fail e
-
-let test_store_warm_restart () =
-  with_store_file @@ fun file ->
-  let saved = populate file in
-  Compile.Store.detach ();
-  Repr.Cache.clear_all ();
-  let before = Compile.Backend.lower_count () in
-  (match Compile.Store.attach file with
-  | Ok n -> Alcotest.(check int) "every entry reloads" saved n
-  | Error e -> Alcotest.fail e);
-  Repr.Cache.clear_all ();
-  List.iter
-    (fun c -> ignore (Compile.Backend.get c))
-    (Lazy.force store_contracts);
-  Alcotest.(check int) "warm restart recompiles nothing" before
-    (Compile.Backend.lower_count ());
-  let s = List.assoc "compile.store" (Repr.Cache.stats ()) in
-  Alcotest.(check bool) "store hits recorded" true (s.Repr.Cache.hits > 0)
-
-let read_lines file =
-  In_channel.with_open_bin file In_channel.input_all
-  |> String.split_on_char '\n'
-
-let write_raw file lines =
-  Out_channel.with_open_bin file (fun oc ->
-      Out_channel.output_string oc (String.concat "\n" lines))
-
-let test_store_refuses_corruption () =
-  with_store_file @@ fun file ->
-  ignore (populate file : int);
-  Compile.Store.detach ();
-  let lines = read_lines file in
-  (* flip a payload byte on line 2: the checksum must catch it *)
-  let corrupt =
-    List.mapi
-      (fun i l ->
-        if i = 1 then
-          String.mapi (fun j ch -> if j = String.length l - 1 then '#' else ch) l
-        else l)
-      lines
-  in
-  write_raw file corrupt;
-  (match Compile.Store.attach file with
-  | Ok _ -> Alcotest.fail "corrupt cache accepted"
-  | Error diag ->
-      Alcotest.(check bool)
-        (Fmt.str "diagnostic %S names file:line" diag)
-        true
-        (Astring.String.is_prefix ~affix:(file ^ ":2:") diag));
-  (* refused cache must not change any verdict: everything recompiles *)
-  Repr.Cache.clear_all ();
-  List.iter
-    (fun c ->
-      let compiled = with_compiled true (fun () -> Product.survey c c) in
-      let interpreted = Product.survey_interpreted c c in
-      Alcotest.(check string) "verdict after refusal"
-        (render_survey interpreted) (render_survey compiled))
-    (Lazy.force store_contracts)
-
-let test_store_refuses_stale_version () =
-  with_store_file @@ fun file ->
-  ignore (populate file : int);
-  Compile.Store.detach ();
-  let lines = read_lines file in
-  write_raw file ("susf-tables 1 999" :: List.tl lines);
-  match Compile.Store.attach file with
-  | Ok _ -> Alcotest.fail "stale cache accepted"
-  | Error diag ->
-      Alcotest.(check bool)
-        (Fmt.str "diagnostic %S names line 1" diag)
-        true
-        (Astring.String.is_prefix ~affix:(file ^ ":1:") diag)
-
-let test_store_drops_torn_tail () =
-  with_store_file @@ fun file ->
-  let saved = populate file in
-  Compile.Store.detach ();
-  let pristine = In_channel.with_open_bin file In_channel.input_all in
-  (* crash mid-append: an unterminated garbage line must be dropped,
-     the intact prefix loaded *)
-  Out_channel.with_open_gen
-    [ Open_append; Open_binary ] 0o644 file (fun oc ->
-      Out_channel.output_string oc "1234 torn-entry-without-newl");
-  (match Compile.Store.attach file with
-  | Ok n -> Alcotest.(check int) "prefix survives the tear" saved n
-  | Error e -> Alcotest.fail e);
-  Compile.Store.detach ();
-  (* a tear mid-entry (newline lost AND payload truncated) too *)
-  Out_channel.with_open_bin file (fun oc ->
-      Out_channel.output_string oc
-        (String.sub pristine 0 (String.length pristine - 7)));
-  match Compile.Store.attach file with
-  | Ok n -> Alcotest.(check int) "truncated entry dropped" (saved - 1) n
-  | Error e -> Alcotest.fail e
-
 let suite =
   [
     Alcotest.test_case "lowering shapes" `Quick test_lower_shapes;
-    prop_ready_sets_agree;
     prop_survey_identical;
     prop_admits_identical;
-    prop_compliance_identical;
     prop_product_compliant_identical;
-    prop_check_expr_identical;
     Alcotest.test_case "scenario reports identical at every level" `Slow
       test_scenario_reports_identical;
     prop_minimize_preserves_language;
     prop_minimize_idempotent;
-    prop_encode_roundtrip;
     Alcotest.test_case "equivalent contracts share one table" `Quick
       test_equivalent_contracts_share_table;
-    Alcotest.test_case "store warm restart" `Quick test_store_warm_restart;
-    Alcotest.test_case "store refuses corruption" `Quick
-      test_store_refuses_corruption;
-    Alcotest.test_case "store refuses stale version" `Quick
-      test_store_refuses_stale_version;
-    Alcotest.test_case "store drops a torn tail" `Quick
-      test_store_drops_torn_tail;
   ]

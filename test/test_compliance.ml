@@ -179,11 +179,68 @@ let prop_theorem2 =
          irrelevant once the invariant has failed. *)
       Product.compliant c s = invariant_everywhere)
 
+(* The kernel's entry points against each other, with the compiled
+   dispatch on and off: the early-exit counterexample is the survey's
+   first one, and compliance is a survey with no stuck state. *)
+let kernel_agrees (c, s) =
+  let render = Fmt.str "%a" Fmt.(option Product.pp_counterexample) in
+  List.for_all
+    (fun on ->
+      let prev = Compile.Backend.enabled () in
+      Compile.Backend.set_enabled on;
+      Fun.protect ~finally:(fun () -> Compile.Backend.set_enabled prev)
+      @@ fun () ->
+      let ce = Product.counterexample c s and sv = Product.survey c s in
+      let compliant = Product.compliant c s in
+      (ce = None) = compliant
+      && String.equal (render ce) (render sv.Product.first_counterexample)
+      && compliant = (sv.Product.stuck_states = 0))
+    [ true; false ]
+
+(* Every site body of every scenario against every service of its
+   repository. *)
+let scenario_pairs () =
+  let project h = try [ Contract.project h ] with _ -> [] in
+  List.concat_map
+    (fun (repo, clients) ->
+      let bodies =
+        List.concat_map
+          (fun party ->
+            List.concat_map
+              (fun (site : Planner.site) -> project site.Planner.body)
+              (Planner.client_sites party))
+          (clients @ repo)
+      in
+      let services = List.concat_map (fun (_, h) -> project h) repo in
+      List.concat_map (fun b -> List.map (fun sv -> (b, sv)) services) bodies)
+    [
+      ( Scenarios.Hotel.repo,
+        [ ("c1", Scenarios.Hotel.client1); ("c2", Scenarios.Hotel.client2) ] );
+      (Scenarios.Mesh.repo, [ ("shopper", Scenarios.Mesh.shopper) ]);
+      (Scenarios.Churn.repo, Scenarios.Churn.clients);
+      (Scenarios.Loose.repo_with_sound, [ ("client", Scenarios.Loose.client) ]);
+      ( Scenarios.Ecommerce.repo,
+        [
+          ("shopper", Scenarios.Ecommerce.shopper);
+          ("careful", Scenarios.Ecommerce.careful_shopper);
+        ] );
+      ( Scenarios.Cloud.repo ~worker:Scenarios.Cloud.frugal_worker,
+        [ ("analyst", Scenarios.Cloud.analyst) ] );
+      (Scenarios.Redundant.repo, [ Scenarios.Redundant.client ]);
+      (Scenarios.Marketplace.repo_competing, [ Scenarios.Marketplace.buyer ]);
+      (Scenarios.Mismatched.repo, []);
+      (Scenarios.Supply_chain.repo, [ Scenarios.Supply_chain.client ]);
+    ]
+
+let scenarios_agree =
+  lazy
+    (let pairs = scenario_pairs () in
+     pairs <> [] && List.for_all kernel_agrees pairs)
+
 let prop_counterexample_iff_noncompliant =
   QCheck.Test.make ~name:"counterexample exists iff non-compliant" ~count:300
     (QCheck.pair Testkit.Generators.contract_arb Testkit.Generators.contract_arb)
-    (fun (c, s) ->
-      (Product.counterexample c s = None) = Product.compliant c s)
+    (fun pair -> Lazy.force scenarios_agree && kernel_agrees pair)
 
 let prop_nil_always_compliant =
   QCheck.Test.make ~name:"terminated client complies with everything" ~count:200

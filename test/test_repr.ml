@@ -173,16 +173,14 @@ let test_ready_computations_not_quadratic () =
   Repr.Cache.clear_all ();
   let c = Contract.project Scenarios.Hotel.broker in
   let s = Contract.dual c in
-  (* pin the interpreted exploration: the compiled backend answers from
-     bitset tables without ever consulting [Ready.ready_sets] *)
   Alcotest.(check bool) "compliant with dual" true
-    (Compliance.compliant_interpreted c s);
+    (Compliance.compliant c s);
   let r1 = counter "ready.computations" in
   let entries = (cache_stats "ready.sets").Repr.Cache.entries in
   Alcotest.(check int) "computations = distinct contracts queried" entries r1;
   Alcotest.(check bool) "something was computed" true (r1 > 0);
   Alcotest.(check bool) "compliant again" true
-    (Compliance.compliant_interpreted c s);
+    (Compliance.compliant c s);
   Alcotest.(check int) "second run fully memoized" r1
     (counter "ready.computations")
 

@@ -430,6 +430,21 @@ let test_net_smoke () =
   Broker.Net.shutdown_conns conns;
   Domain.join d
 
+(* A client connection to a server started in this process, retrying
+   refusals for a few seconds while the server binds. *)
+let connect port =
+  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match Unix.connect fd addr with
+    | () -> (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Unix.sleepf 0.1;
+        go (tries - 1)
+  in
+  go 50
+
 (* Satellite: the per-connection idle read timeout. A connection that
    goes silent is answered 'err timeout' and closed; one that keeps
    talking refreshes its deadline and survives long past the limit;
@@ -450,21 +465,8 @@ let test_net_idle_timeout () =
   in
   let port = Broker.Net.port server in
   let d = Domain.spawn (fun () -> Broker.Net.serve server) in
-  let connect () =
-    let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-    let rec go tries =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      match Unix.connect fd addr with
-      | () -> (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Unix.sleepf 0.1;
-          go (tries - 1)
-    in
-    go 50
-  in
-  let silent_fd, silent_ic, _ = connect () in
-  let busy_fd, busy_ic, busy_oc = connect () in
+  let silent_fd, silent_ic, _ = connect port in
+  let busy_fd, busy_ic, busy_oc = connect port in
   (* the busy connection pings across several timeout windows: each
      read refreshes its deadline, so it must never be reaped *)
   for _ = 1 to 4 do
@@ -500,25 +502,12 @@ let test_net_line_too_long () =
   let server = Broker.Net.create ~hexpr_of_string ~port:0 pool in
   let port = Broker.Net.port server in
   let d = Domain.spawn (fun () -> Broker.Net.serve server) in
-  let connect () =
-    let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-    let rec go tries =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      match Unix.connect fd addr with
-      | () -> (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when tries > 0 ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Unix.sleepf 0.1;
-          go (tries - 1)
-    in
-    go 50
-  in
   let send oc text =
     output_string oc text;
     flush oc
   in
-  let long_fd, long_ic, long_oc = connect () in
-  let ok_fd, ok_ic, ok_oc = connect () in
+  let long_fd, long_ic, long_oc = connect port in
+  let ok_fd, ok_ic, ok_oc = connect port in
   (* a server that never answers fails the test instead of hanging it *)
   List.iter
     (fun fd -> Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.)
@@ -555,6 +544,43 @@ let test_net_line_too_long () =
   (try Unix.close ok_fd with Unix.Unix_error _ -> ());
   Domain.join d
 
+(* A client that floods requests and hangs up without reading the
+   replies costs only its own connection: the server's replies hit a
+   reset socket and fail with EPIPE, which closes that connection,
+   instead of raising SIGPIPE, which would kill the whole process. *)
+let test_net_client_hangs_up () =
+  let pool =
+    Broker.Shard.create ~admission:Broker.default_admission ~shards:1
+      Scenarios.Churn.repo
+  in
+  let server = Broker.Net.create ~hexpr_of_string ~port:0 pool in
+  let port = Broker.Net.port server in
+  let d = Domain.spawn (fun () -> Broker.Net.serve server) in
+  let flood_fd, _, _ = connect port in
+  (* a server that stops reading fails the flood instead of hanging it *)
+  Unix.setsockopt_float flood_fd Unix.SO_SNDTIMEO 30.;
+  let flood = Bytes.of_string (String.concat "" (List.init 20000 (fun _ -> "ping\n"))) in
+  (try
+     let rec go off =
+       if off < Bytes.length flood then
+         go (off + Unix.write flood_fd flood off (Bytes.length flood - off))
+     in
+     go 0
+   with Unix.Unix_error _ -> ());
+  (* closing with replies unread resets the connection *)
+  Unix.close flood_fd;
+  let fd, ic, oc = connect port in
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+  output_string oc "ping\n";
+  flush oc;
+  Alcotest.(check string) "server survives the hang-up" "ok pong"
+    (input_line ic);
+  output_string oc "shutdown\n";
+  flush oc;
+  Alcotest.(check string) "clean shutdown" "ok bye" (input_line ic);
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  Domain.join d
+
 let suite =
   [
     Alcotest.test_case "route: pinned values, stability" `Quick
@@ -581,6 +607,8 @@ let suite =
       test_net_smoke;
     Alcotest.test_case "socket front end: idle connections reaped" `Quick
       test_net_idle_timeout;
+    Alcotest.test_case "socket front end: client hang-up survived" `Quick
+      test_net_client_hangs_up;
     Alcotest.test_case "socket front end: over-long lines refused" `Quick
       test_net_line_too_long;
     QCheck_alcotest.to_alcotest prop_route_total;
